@@ -15,10 +15,10 @@ choice under test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional
 
 from repro.common.errors import NoFeasibleAllocation
-from repro.core.estimate import CompletionTimeEstimator
+from repro.core.estimate import CompletionTimeEstimator, PrefixCost
 from repro.core.fairness import LoadVector
 from repro.core.info_base import DomainInfoBase
 from repro.graphs.resource_graph import ServiceEdge
@@ -147,73 +147,42 @@ class Allocator:
         candidates: List[Candidate] = []
         n_examined = 0
         any_path = False
-        budget = deadline * (1.0 - self.estimator.safety_margin)
+        estimator = self.estimator
+        budget = deadline * (1.0 - estimator.safety_margin)
 
-        # Incremental prefix-cost cache: BFS extends prefixes one edge
-        # at a time, so each prefix's lower-bound time is its parent's
-        # plus one hop — O(1) per check instead of re-walking the whole
-        # prefix (profiling: prefix re-estimation dominated allocation).
-        # Keyed by edge-id tuple; value = (elapsed, carried_bytes).
-        prefix_cost: dict = {(): (0.0, in_bytes)}
+        def extend(
+            cost: PrefixCost, edge: ServiceEdge
+        ) -> Optional[PrefixCost]:
+            # Fig. 3's prefix check: a prefix already over budget cannot
+            # complete in time (its cost is a lower bound), so prune it.
+            cost = estimator.extend_prefix(
+                info, net, cost, edge, now, work_scale
+            )
+            if cost is not None and cost[0] <= budget:
+                return cost
+            return None
 
-        def prefix_ok(prefix: Sequence[ServiceEdge]) -> bool:
-            if not prefix:
-                return True
-            key = tuple([e.edge_id for e in prefix])
-            cached = prefix_cost.get(key)
-            if cached is None:
-                parent = prefix_cost.get(key[:-1])
-                edge = prefix[-1]
-                if parent is None or not info.has_peer(edge.peer_id):
-                    # Parent itself was infeasible/unknown, or the peer
-                    # vanished: recompute from scratch as a fallback.
-                    elapsed = self.estimator.estimate_path(
-                        info, net, list(prefix), now, source_peer,
-                        prefix[-1].peer_id, in_bytes, work_scale,
-                    )
-                    carried = prefix[-1].out_bytes * work_scale
-                else:
-                    elapsed, carried = parent
-                    prev_peer = (
-                        prefix[-2].peer_id if len(prefix) > 1
-                        else source_peer
-                    )
-                    elapsed += self.estimator.transfer_time(
-                        net, prev_peer, edge.peer_id, carried
-                    )
-                    elapsed += self.estimator.service_time(
-                        info, edge, now, work_scale
-                    )
-                    carried = edge.out_bytes * work_scale
-                cached = (elapsed, carried)
-                prefix_cost[key] = cached
-            return cached[0] <= budget
-
-        for path in iter_paths(
+        for path, (elapsed, carried, last_peer) in iter_paths(
             info.resource_graph,
             v_init,
             v_sol,
             visited_policy=self.visited_policy,
-            feasible=prefix_ok,
+            extend=extend,
+            start=(0.0, in_bytes, source_peer),
             max_expansions=self.max_expansions,
         ):
             any_path = True
             n_examined += 1
-            # Open-coded estimator.feasible(prefix=False) so the path
-            # estimate is computed once and reused as ``est`` (deadline
-            # positivity was checked above; ``budget`` is the same
-            # margin-scaled bound feasible() applies).
-            est = self.estimator.estimate_path(
-                info, net, path, now, source_peer, sink_peer, in_bytes,
-                work_scale,
+            # The prefix cost covers every service on the path: what is
+            # left to estimate is the empty suffix, the hop to the sink.
+            est = elapsed + estimator.estimate_path(
+                info, net, (), now, last_peer, sink_peer, carried, work_scale
             )
-            if est > budget or self.estimator.path_overloads(
-                info, path, now, deadline, work_scale
-            ):
+            if est > budget:
                 continue
-            deltas = self.estimator.path_load_deltas(
-                path, deadline, work_scale
-            )
+            deltas = estimator.path_load_deltas(path, deadline, work_scale)
+            if estimator.overloads(info, deltas, now):
+                continue
             fairness = load_view.fairness_with(deltas)
             max_post_util = 0.0
             for peer_id, delta in deltas.items():

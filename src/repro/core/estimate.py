@@ -19,12 +19,17 @@ explores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import UnknownPeer
 from repro.core.info_base import DomainInfoBase
 from repro.graphs.resource_graph import ServiceEdge
 from repro.net.network import Network
+
+#: A path prefix's estimated cost: ``(elapsed_s, carried_bytes,
+#: last_peer)``, the time to run it, the bytes its last step emits and
+#: the peer that emits them.
+PrefixCost = Tuple[float, float, str]
 
 
 @dataclass
@@ -86,6 +91,36 @@ class CompletionTimeEstimator:
             return 0.0
         return net.expected_delay(src, dst, nbytes)
 
+    def extend_prefix(
+        self,
+        info: DomainInfoBase,
+        net: Network,
+        cost: PrefixCost,
+        edge: ServiceEdge,
+        now: float,
+        work_scale: float = 1.0,
+    ) -> Optional[PrefixCost]:
+        """*cost* extended by one service *edge*, or ``None`` if its peer left.
+
+        The step adds the hop from the prefix's last peer to the edge's
+        peer and the edge's service time.  A prefix's cost is a valid
+        lower bound on any completion through it, which is what lets the
+        Fig-3 search prune on it.
+        """
+        elapsed, carried, prev_peer = cost
+        peer_id = edge.peer_id
+        rec = info.peers.get(peer_id)
+        if rec is None:
+            return None
+        elapsed += self.transfer_time(net, prev_peer, peer_id, carried)
+        # service_time() inlined with a single roster lookup (the Fig-3
+        # search costs every prefix through here); keep the arithmetic
+        # identical to service_time.
+        free = rec.power - info.effective_load(peer_id, now)
+        free = max(free, rec.power * self.min_free_frac)
+        elapsed += edge.work * work_scale / free
+        return elapsed, edge.out_bytes * work_scale, peer_id
+
     # -- path-level API ----------------------------------------------------------
     def estimate_path(
         self,
@@ -101,53 +136,32 @@ class CompletionTimeEstimator:
         """Predicted end-to-end execution time of the full path.
 
         ``in_bytes`` is the source object's size (the first transfer,
-        source peer -> first service's peer).
+        source peer -> first service's peer).  The estimate is the
+        path's prefix cost (:meth:`extend_prefix`, edge by edge) plus
+        the hop to the sink; infinite if a hosting peer has left.
         """
-        total = 0.0
-        prev_peer = source_peer
-        carried = in_bytes
-        peers = info.peers
-        min_free_frac = self.min_free_frac
+        cost: Optional[PrefixCost] = (0.0, in_bytes, source_peer)
         for edge in path:
-            # service_time() inlined with a single roster lookup (the
-            # allocator walks every candidate path through here); keep
-            # the arithmetic identical to service_time.
-            peer_id = edge.peer_id
-            rec = peers.get(peer_id)
-            if rec is None:
+            cost = self.extend_prefix(info, net, cost, edge, now, work_scale)
+            if cost is None:
                 return float("inf")
-            total += self.transfer_time(net, prev_peer, peer_id, carried)
-            free = rec.power - info.effective_load(peer_id, now)
-            free = max(free, rec.power * min_free_frac)
-            total += edge.work * work_scale / free
-            prev_peer = peer_id
-            carried = edge.out_bytes * work_scale
-        total += self.transfer_time(net, prev_peer, sink_peer, carried)
-        return total
+        elapsed, carried, last_peer = cost
+        return elapsed + self.transfer_time(net, last_peer, sink_peer, carried)
 
-    def path_overloads(
+    def overloads(
         self,
         info: DomainInfoBase,
-        path: Sequence[ServiceEdge],
+        deltas: Mapping[str, float],
         now: float,
-        deadline: float,
-        work_scale: float = 1.0,
     ) -> bool:
-        """Capacity check: would this assignment overload any peer?
+        """Capacity check: would adding *deltas* overload any peer?
 
-        The load delta of an edge is its demanded work *rate*:
-        ``work / deadline`` (a tighter deadline demands more rate).
+        *deltas* are per-peer load deltas from :meth:`path_load_deltas`.
         """
-        deltas: dict[str, float] = {}
-        for edge in path:
-            deltas[edge.peer_id] = (
-                deltas.get(edge.peer_id, 0.0)
-                + edge.work * work_scale / deadline
-            )
         for peer_id, delta in deltas.items():
-            if not info.has_peer(peer_id):
+            rec = info.peers.get(peer_id)
+            if rec is None:
                 return True
-            rec = info.peer(peer_id)
             post = info.effective_load(peer_id, now) + delta
             if post > rec.power * self.max_utilization:
                 return True
@@ -188,8 +202,8 @@ class CompletionTimeEstimator:
         )
         if elapsed > budget:
             return False
-        if not prefix and self.path_overloads(
-            info, path, now, deadline, work_scale
+        if not prefix and self.overloads(
+            info, self.path_load_deltas(path, deadline, work_scale), now
         ):
             return False
         return True
@@ -200,7 +214,11 @@ class CompletionTimeEstimator:
         deadline: float,
         work_scale: float = 1.0,
     ) -> dict[str, float]:
-        """Per-peer load deltas of assigning *path* (work rate demand)."""
+        """Per-peer load deltas of assigning *path* (work rate demand).
+
+        The load delta of an edge is its demanded work *rate*:
+        ``work / deadline`` (a tighter deadline demands more rate).
+        """
         out: dict[str, float] = {}
         for edge in path:
             out[edge.peer_id] = (

@@ -17,21 +17,27 @@ Two *visited policies* are provided:
     depth-first, up to an expansion budget.  Exponential in the worst
     case; used by the optimal baseline and in tests as ground truth.
 
-Both yield paths as lists of :class:`ServiceEdge` and accept a
-``feasible`` predicate applied to every path *prefix* — infeasible
-prefixes are pruned immediately, mirroring Fig. 3's "fulfills
-requirements in q" check.
+Both yield ``(path, cost)`` pairs, a path being a list of
+:class:`ServiceEdge`.  The cost is carried along the search: every
+prefix starts from ``start`` and is extended one edge at a time by
+``extend(cost, edge)``, which returns the extended prefix's cost or
+``None`` to prune it (and everything through it) immediately,
+mirroring Fig. 3's "fulfills requirements in q" check.  Each prefix is
+costed once, from its parent's cost, however long it is.  Without an
+``extend`` every cost is ``start``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Hashable, Iterator, List, Optional
+from typing import Any, Callable, Hashable, Iterator, List, Optional, Tuple
 
 from repro.graphs.resource_graph import ResourceGraph, ServiceEdge
 
 Path = List[ServiceEdge]
-FeasiblePredicate = Callable[[Path], bool]
+#: ``extend(prefix_cost, edge)``: the cost of the prefix plus *edge*,
+#: or ``None`` to prune that longer prefix.
+ExtendCost = Callable[[Any, ServiceEdge], Any]
 
 
 def iter_paths(
@@ -39,10 +45,11 @@ def iter_paths(
     v_init: Hashable,
     v_sol: Hashable,
     visited_policy: str = "paper",
-    feasible: Optional[FeasiblePredicate] = None,
+    extend: Optional[ExtendCost] = None,
+    start: Any = None,
     max_expansions: int = 100_000,
-) -> Iterator[Path]:
-    """Yield candidate execution sequences from ``v_init`` to ``v_sol``.
+) -> Iterator[Tuple[Path, Any]]:
+    """Yield ``(path, cost)`` for candidate sequences ``v_init -> v_sol``.
 
     Parameters
     ----------
@@ -54,38 +61,43 @@ def iter_paths(
         allocation", §4.3).
     visited_policy:
         ``"paper"`` or ``"exhaustive"`` (see module docstring).
-    feasible:
-        Optional prefix-feasibility predicate; prefixes failing it are
+    extend:
+        Optional prefix-cost step; a prefix it maps to ``None`` is
         pruned (and never extended).
+    start:
+        The cost of the empty prefix.
     max_expansions:
         Safety budget on vertex expansions.
     """
     if visited_policy == "paper":
-        yield from _bfs_paper(graph, v_init, v_sol, feasible, max_expansions)
+        search = _bfs_paper
     elif visited_policy == "exhaustive":
-        yield from _dfs_simple(graph, v_init, v_sol, feasible, max_expansions)
+        search = _dfs_simple
     else:
         raise ValueError(
             f"unknown visited_policy {visited_policy!r}; "
             "use 'paper' or 'exhaustive'"
         )
+    if not graph.has_state(v_init) or not graph.has_state(v_sol):
+        return
+    if v_init == v_sol:
+        # Already in the requested state: the empty sequence solves it.
+        yield [], start
+        return
+    yield from search(graph, v_init, v_sol, extend, start, max_expansions)
 
 
 def _bfs_paper(
     graph: ResourceGraph,
     v_init: Hashable,
     v_sol: Hashable,
-    feasible: Optional[FeasiblePredicate],
+    extend: Optional[ExtendCost],
+    start: Any,
     max_expansions: int,
-) -> Iterator[Path]:
-    if not graph.has_state(v_init) or not graph.has_state(v_sol):
-        return
-    if v_init == v_sol:
-        # Already in the requested state: the empty sequence solves it.
-        if feasible is None or feasible([]):
-            yield []
-        return
-    queue: deque[tuple[Hashable, Path]] = deque([(v_init, [])])
+) -> Iterator[Tuple[Path, Any]]:
+    # Each entry carries its prefix's cost, computed from the parent's
+    # when the prefix is made; a pruned prefix never enters the queue.
+    queue: deque[tuple[Hashable, Path, Any]] = deque([(v_init, [], start)])
     popleft = queue.popleft
     append = queue.append
     visited: set[Hashable] = set()
@@ -95,11 +107,9 @@ def _bfs_paper(
     out = graph._out
     expansions = 0
     while queue:
-        v, seq = popleft()
-        if feasible is not None and not feasible(seq):
-            continue
+        v, seq, cost = popleft()
         if v == v_sol:
-            yield seq
+            yield seq, cost
             continue
         if v in visited:
             continue
@@ -108,25 +118,27 @@ def _bfs_paper(
         if expansions > max_expansions:
             return
         for edge in out.get(v, ()):
-            append((edge.dst, seq + [edge]))
+            edge_cost = cost
+            if extend is not None:
+                edge_cost = extend(cost, edge)
+                if edge_cost is None:
+                    continue
+            append((edge.dst, seq + [edge], edge_cost))
 
 
 def _dfs_simple(
     graph: ResourceGraph,
     v_init: Hashable,
     v_sol: Hashable,
-    feasible: Optional[FeasiblePredicate],
+    extend: Optional[ExtendCost],
+    start: Any,
     max_expansions: int,
-) -> Iterator[Path]:
-    if not graph.has_state(v_init) or not graph.has_state(v_sol):
-        return
-    if v_init == v_sol:
-        if feasible is None or feasible([]):
-            yield []
-        return
+) -> Iterator[Tuple[Path, Any]]:
     budget = [max_expansions]
 
-    def dfs(v: Hashable, seq: Path, on_path: set[Hashable]) -> Iterator[Path]:
+    def dfs(
+        v: Hashable, seq: Path, cost: Any, on_path: set[Hashable]
+    ) -> Iterator[Tuple[Path, Any]]:
         if budget[0] <= 0:
             return
         budget[0] -= 1
@@ -134,17 +146,20 @@ def _dfs_simple(
             nxt = edge.dst
             if nxt in on_path:
                 continue
+            edge_cost = cost
+            if extend is not None:
+                edge_cost = extend(cost, edge)
+                if edge_cost is None:
+                    continue
             new_seq = seq + [edge]
-            if feasible is not None and not feasible(new_seq):
-                continue
             if nxt == v_sol:
-                yield new_seq
+                yield new_seq, edge_cost
                 continue
             on_path.add(nxt)
-            yield from dfs(nxt, new_seq, on_path)
+            yield from dfs(nxt, new_seq, edge_cost, on_path)
             on_path.discard(nxt)
 
-    yield from dfs(v_init, [], {v_init})
+    yield from dfs(v_init, [], start, {v_init})
 
 
 class PathSearch:
@@ -162,20 +177,15 @@ class PathSearch:
         self.visited_policy = visited_policy
         self.max_expansions = max_expansions
 
-    def paths(
-        self,
-        v_init: Hashable,
-        v_sol: Hashable,
-        feasible: Optional[FeasiblePredicate] = None,
-    ) -> List[Path]:
+    def paths(self, v_init: Hashable, v_sol: Hashable) -> List[Path]:
         """All candidate paths as a list (see :func:`iter_paths`)."""
-        return list(
-            iter_paths(
+        return [
+            path
+            for path, _ in iter_paths(
                 self.graph,
                 v_init,
                 v_sol,
                 visited_policy=self.visited_policy,
-                feasible=feasible,
                 max_expansions=self.max_expansions,
             )
-        )
+        ]

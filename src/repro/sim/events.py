@@ -312,8 +312,22 @@ class Process(Event):
         return f"<Process {self.name} {'alive' if self.is_alive else 'dead'}>"
 
 
+def _decided(event: Event) -> None:
+    """Stands in for the check of a condition that has its outcome."""
+
+
 class _Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf` composite events."""
+    """Base for :class:`AllOf` / :class:`AnyOf` composite events.
+
+    Once the condition has its outcome it detaches its check from the
+    component events that have not fired yet.  Their firing could no
+    longer change it, and the attached check would hold a reference
+    cycle (event -> check -> condition -> events -> event) that only the
+    garbage collector frees: ``timeout | wake`` makes one per CPU slice.
+    The check's slot keeps a no-op that refers to no condition, so a
+    component failing after the outcome is still handled, as before
+    (an RPC's reply can fail on shutdown after its deadline won).
+    """
 
     __slots__ = ("events", "_n_fired")
 
@@ -327,24 +341,36 @@ class _Condition(Event):
         if not self.events:
             self.succeed(self._collect())
             return
+        check = self._check
         for ev in self.events:
-            if ev.processed:
-                self._check(ev)
-            else:
-                ev.callbacks.append(self._check)
+            if ev.callbacks is not None:
+                ev.callbacks.append(check)
+                continue
+            check(ev)  # already processed
+            if self._value is not _PENDING:
+                break  # decided: attach to no further event
 
     def _collect(self) -> dict[Event, Any]:
         return {ev: ev._value for ev in self.events if ev.processed and ev._ok}
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not event._ok:
             self.fail(event._value)
-            return
-        self._n_fired += 1
-        if self._satisfied():
+        else:
+            self._n_fired += 1
+            if not self._satisfied():
+                return
             self.succeed(self._collect())
+        check = self._check
+        for ev in self.events:
+            callbacks = ev.callbacks
+            if callbacks:
+                try:
+                    callbacks[callbacks.index(check)] = _decided
+                except ValueError:  # never attached: decided first
+                    pass
 
     def _satisfied(self) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError

@@ -117,9 +117,11 @@ class TestEstimator:
         est = CompletionTimeEstimator(max_utilization=1.0)
         edge = info.resource_graph.edge("e1")  # ~16 work units
         # With a 10s deadline the demanded rate 1.6 exceeds free 0.5.
-        assert est.path_overloads(info, [edge], 0.0, deadline=10.0)
+        assert est.overloads(info, est.path_load_deltas([edge], 10.0), 0.0)
         # A long deadline demands little rate.
-        assert not est.path_overloads(info, [edge], 0.0, deadline=1000.0)
+        assert not est.overloads(
+            info, est.path_load_deltas([edge], 1000.0), 0.0
+        )
 
     def test_feasible_rejects_nonpositive_deadline(self):
         info, net, sc = make_domain()

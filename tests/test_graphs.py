@@ -87,7 +87,7 @@ class TestSearch:
         g = diamond()
         paths = [
             [e.edge_id for e in p]
-            for p in iter_paths(g, "s", "t", "paper")
+            for p, _ in iter_paths(g, "s", "t", "paper")
         ]
         # 'b' is expanded once (via sb, BFS order); the a->b->t route is
         # pruned by the visited set, but both direct goal edges survive.
@@ -99,7 +99,7 @@ class TestSearch:
         g = diamond()
         paths = sorted(
             tuple(e.edge_id for e in p)
-            for p in iter_paths(g, "s", "t", "exhaustive")
+            for p, _ in iter_paths(g, "s", "t", "exhaustive")
         )
         assert paths == sorted([
             ("sa", "at"), ("sb", "bt"), ("sa", "ab", "bt"),
@@ -108,14 +108,14 @@ class TestSearch:
     def test_exhaustive_no_repeated_vertices(self):
         g = diamond()
         g.add_service("b", "a", "back", "p6", 1.0, edge_id="ba")
-        for p in iter_paths(g, "s", "t", "exhaustive"):
+        for p, _ in iter_paths(g, "s", "t", "exhaustive"):
             visited = ["s"] + [e.dst for e in p]
             assert len(visited) == len(set(visited))
 
     def test_same_init_and_goal_yields_empty_path(self):
         g = diamond()
         for policy in ("paper", "exhaustive"):
-            assert list(iter_paths(g, "s", "s", policy)) == [[]]
+            assert list(iter_paths(g, "s", "s", policy)) == [([], None)]
 
     def test_missing_vertices_yield_nothing(self):
         g = diamond()
@@ -124,13 +124,19 @@ class TestSearch:
 
     def test_feasible_prunes_prefixes(self):
         g = diamond()
-        # Forbid anything through 'a'.
-        ok = lambda path: all(e.dst != "a" for e in path)
-        paths = [
-            [e.edge_id for e in p]
-            for p in iter_paths(g, "s", "t", "paper", feasible=ok)
-        ]
-        assert paths == [["sb", "bt"]]
+
+        # Forbid anything through 'a'; the cost counts hops.
+        def extend(hops, edge):
+            return None if edge.dst == "a" else hops + 1
+
+        for policy in ("paper", "exhaustive"):
+            got = [
+                ([e.edge_id for e in p], hops)
+                for p, hops in iter_paths(
+                    g, "s", "t", policy, extend=extend, start=0
+                )
+            ]
+            assert got == [(["sb", "bt"], 2)]
 
     def test_max_expansions_bounds_search(self):
         g = ResourceGraph()
@@ -153,7 +159,7 @@ class TestSearch:
         g.add_service("s", "t", "s2", "p2", 1.0, edge_id="b")
         paths = [
             [e.edge_id for e in p]
-            for p in iter_paths(g, "s", "t", "paper")
+            for p, _ in iter_paths(g, "s", "t", "paper")
         ]
         assert paths == [["a"], ["b"]]
 

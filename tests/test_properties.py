@@ -43,7 +43,7 @@ class TestSearchProperties:
     def test_paths_are_connected_and_start_end_correctly(self, case):
         g, v_init, v_sol = case
         for policy in ("paper", "exhaustive"):
-            for path in iter_paths(g, v_init, v_sol, policy,
+            for path, _ in iter_paths(g, v_init, v_sol, policy,
                                    max_expansions=3000):
                 if not path:
                     assert v_init == v_sol
@@ -59,10 +59,10 @@ class TestSearchProperties:
         g, v_init, v_sol = case
         exhaustive = {
             tuple(e.edge_id for e in p)
-            for p in iter_paths(g, v_init, v_sol, "exhaustive",
+            for p, _ in iter_paths(g, v_init, v_sol, "exhaustive",
                                 max_expansions=5000)
         }
-        for p in iter_paths(g, v_init, v_sol, "paper",
+        for p, _ in iter_paths(g, v_init, v_sol, "paper",
                             max_expansions=5000):
             ids = tuple(e.edge_id for e in p)
             # Paper BFS paths may revisit no vertex except via parallel
@@ -74,7 +74,7 @@ class TestSearchProperties:
     def test_exhaustive_paths_unique(self, case):
         g, v_init, v_sol = case
         seen = set()
-        for p in iter_paths(g, v_init, v_sol, "exhaustive",
+        for p, _ in iter_paths(g, v_init, v_sol, "exhaustive",
                             max_expansions=5000):
             ids = tuple(e.edge_id for e in p)
             assert ids not in seen

@@ -1,5 +1,8 @@
 """Event lifecycle and composition primitives."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Environment
@@ -160,3 +163,77 @@ class TestConditions:
         env.process(waiter())
         env.run()
         assert done == [(1.0, "x")]
+
+
+class _WeakAnyOf(AnyOf):
+    __slots__ = ("__weakref__",)
+
+
+class _WeakAllOf(AllOf):
+    __slots__ = ("__weakref__",)
+
+
+class TestConditionsLeaveNoCycles:
+    """A decided condition detaches from the component events that lost.
+
+    Otherwise ``never.callbacks -> _check -> condition -> events ->
+    never`` is a reference cycle only the garbage collector frees, and
+    the processor's ``timeout | wake`` makes one per CPU slice.
+    """
+
+    @pytest.mark.parametrize("timeout_first", [True, False])
+    def test_or_detaches_from_the_event_that_lost(self, env, timeout_first):
+        never = env.event()
+        timeout = env.timeout(1)
+        cond = (timeout | never) if timeout_first else (never | timeout)
+        env.run()
+        assert cond.processed and cond.ok
+        assert cond._check not in never.callbacks
+
+    def test_loser_still_fires(self, env):
+        first, second = env.timeout(1), env.timeout(2)
+        cond = first | second
+        env.run()
+        assert cond.processed and second.processed
+        assert env.n_processed == 3
+
+    def test_loser_failing_later_stays_handled(self, env):
+        # An RPC reply failed on shutdown after its deadline won.
+        reply = env.event()
+        cond = env.timeout(1) | reply
+        env.run()
+        reply.fail(RuntimeError("shut down"))
+        env.run()
+        assert cond.processed and reply.processed
+
+    @pytest.mark.parametrize(
+        "case", ["timeout|never", "never|timeout", "AllOf fails",
+                 "processed|never"],
+    )
+    def test_decided_condition_dies_without_the_collector(self, env, case):
+        never = env.event()
+        if case == "AllOf fails":
+            bad = env.event()
+            cond = _WeakAllOf(env, [never, bad])
+            bad.fail(ValueError("boom"))
+        elif case == "processed|never":
+            done = env.event().succeed()
+            env.run()
+            cond = _WeakAnyOf(env, [done, never])
+        else:
+            timeout = env.timeout(1)
+            parts = [timeout, never]
+            cond = _WeakAnyOf(env, parts if case[0] == "t" else parts[::-1])
+        cond.callbacks.append(lambda ev: None)  # a waiter (takes failures)
+        env.run()
+        assert cond.processed
+        assert cond._check not in never.callbacks
+        ref = weakref.ref(cond)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del cond
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
