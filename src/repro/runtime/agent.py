@@ -1,8 +1,9 @@
-"""Per-shard roster agent: the decentralized replacement for the
-one-shot :class:`~repro.runtime.bootstrap.BootstrapServer`.
+"""Roster agent: the live runtime's one membership endpoint.
 
 Every :class:`~repro.runtime.shard.ShardHost` process runs one
-:class:`RosterAgent` — a membership endpoint on the same reliable UDP
+:class:`RosterAgent`, and the single-process
+:class:`~repro.runtime.cluster.LiveCluster` runs exactly one (a
+1-shard cluster) — a membership endpoint on the same reliable UDP
 transport as the nodes.  Agents seed from each other (addresses handed
 out by the supervisor or any live agent), converge a replicated
 :class:`~repro.runtime.roster.Roster`, and *any* of them can answer a
@@ -12,15 +13,15 @@ out by the supervisor or any live agent), converge a replicated
   delta to the other agents, and acknowledge with the member's role.
   Before the §4.1 election the ack is deferred; afterwards it is
   immediate and the full capability record is forwarded to the elected
-  RM exactly like the old bootstrap's late-join path.
+  RM, which admits it into its information base.
 * **election** — when a replica first sees the expected node population
   and is the ring-lowest live agent (a leaderless, deterministic
   choice), it ranks candidates with the §4.1
   :class:`~repro.overlay.qualification.QualificationPolicy` and
-  broadcasts the result.  The agent hosting the winner announces
-  ``rm_ready`` once the local node has assumed the role; only then do
-  the other agents release their deferred acks — so no peer ever
-  heartbeats into a void.
+  broadcasts the result.  The agent hosting the winner awaits the local
+  node's ``assumed`` event and announces ``rm_ready``; only then do
+  the agents forward the member records and release their deferred
+  acks — so no peer ever heartbeats into a void.
 * **gossip** — roster deltas ride the existing ``gossip_summaries``
   kind (payloads are plain dicts; wire format stays v1), with periodic
   rotating anti-entropy pages for convergence under loss and a
@@ -35,8 +36,9 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from repro import telemetry
 from repro.core import protocol
 from repro.net.message import Message
 from repro.overlay.qualification import QualificationPolicy
@@ -48,6 +50,9 @@ from repro.runtime.roster import (
 )
 from repro.runtime.transport import PeerDirectory, UdpTransport
 from repro.telemetry.logs import get_logger
+
+if TYPE_CHECKING:
+    from repro.runtime.node import LiveNode
 
 #: Agent ids are derived from the shard id; they live in the same
 #: directory namespace as node ids.
@@ -73,9 +78,7 @@ class RosterAgent:
         gossip_period: float = 1.0,
         gossip_fanout: int = 2,
         page_size: int = 100,
-        on_rm_state: Optional[Callable[[str, bool, int], None]] = None,
         rng: Optional[random.Random] = None,
-        **transport_kwargs: Any,
     ) -> None:
         self.shard_id = shard_id
         self.node_id = agent_id_for(shard_id)
@@ -86,18 +89,16 @@ class RosterAgent:
         self.gossip_period = gossip_period
         self.gossip_fanout = gossip_fanout
         self.page_size = page_size
-        self.on_rm_state = on_rm_state
         self.rng = rng or random.Random()
         self.transport = UdpTransport(
             self.node_id, directory, self._handle, host=host, port=port,
-            **transport_kwargs,
         )
         self.roster = Roster()
         #: pid -> full JOIN_REQUEST payload (capabilities + objects/edges);
         #: kept for RM (re-)introduction, never gossiped.
         self.records: Dict[str, Dict[str, Any]] = {}
-        #: Node ids hosted by this shard's own process.
-        self.local_pids: set = set()
+        #: Nodes hosted by this agent's own process, by id.
+        self.local: Dict[str, "LiveNode"] = {}
         #: pids that joined but whose ack waits for rm_ready.
         self.pending: Dict[str, bool] = {}
         # RM state replica: (epoch, ready) is monotone; epoch bumps on
@@ -110,6 +111,7 @@ class RosterAgent:
         self._gossip_task: Optional[asyncio.Task] = None
         self._gossip_cursor = 0
         self._pull_future: Optional[asyncio.Future] = None
+        self._rm_watch: Optional[asyncio.Task] = None
         self.log = get_logger("runtime.agent", self.node_id)
 
     # -- lifecycle ---------------------------------------------------------
@@ -133,13 +135,15 @@ class RosterAgent:
         )
 
     async def close(self, graceful: bool = False) -> None:
-        if self._gossip_task is not None:
-            self._gossip_task.cancel()
+        for task in (self._gossip_task, self._rm_watch):
+            if task is None:
+                continue
+            task.cancel()
             try:
-                await self._gossip_task
+                await task
             except (asyncio.CancelledError, Exception):
                 pass
-            self._gossip_task = None
+        self._gossip_task = self._rm_watch = None
         if graceful:
             entry = self.roster.tombstone(self.node_id)
             if entry is not None:
@@ -207,17 +211,17 @@ class RosterAgent:
         return False
 
     # -- local node registration ------------------------------------------
-    def register_local(self, pid: str) -> None:
-        """Mark *pid* as hosted in this shard's process (so its record
-        is (re-)introduced to every new RM incarnation)."""
-        self.local_pids.add(pid)
+    def register_local(self, node: "LiveNode") -> None:
+        """Mark *node* as hosted in this agent's process: if it wins the
+        election, this agent announces ``rm_ready`` once it assumed."""
+        self.local[node.node_id] = node
 
     def begin_drain(self) -> None:
         """Stop admitting joins; existing members keep being served."""
         self.draining = True
 
     def announce_rm_ready(self) -> None:
-        """Called by the host once the local RM node assumed its role."""
+        """Announce the local RM node up (it has assumed its role)."""
         state = {
             "rm_id": self.rm_id,
             "ready": True,
@@ -339,6 +343,12 @@ class RosterAgent:
         self.log.info(
             "elected %s over %d candidates", rm_id, len(candidates)
         )
+        tel = telemetry.current()
+        if tel.enabled:
+            tel.tracer.event(
+                "rm.elected", node=self.node_id, rm=rm_id,
+                members=len(candidates),
+            )
         self._apply_rm_state({"rm_id": rm_id, "ready": False, "epoch": 1})
         self._broadcast_entries([], extra_state=True)
 
@@ -365,26 +375,45 @@ class RosterAgent:
             # This shard hosts the winner: ack it so it assumes the role.
             self.pending.pop(rm_id, None)
             self._ack(rm_id, role="rm")
-        if self.on_rm_state is not None:
-            self.on_rm_state(rm_id, ready, epoch)
+        if not ready:
+            self._watch_local_rm(rm_id)
         if ready and self._forwarded_epoch < epoch:
             self._forwarded_epoch = epoch
+            # (Re-)introduce every record this agent holds — a fresh RM
+            # incarnation rebuilds its information base from the shards
+            # — before any deferred peer learns it has joined.
+            for pid in list(self.records):
+                if pid != rm_id:
+                    self._forward_record(pid)
             for pid in list(self.pending):
                 self.pending.pop(pid, None)
                 if pid != rm_id:
                     self._ack(pid, role="peer")
-            # (Re-)introduce every record this agent holds — a fresh RM
-            # incarnation rebuilds its information base from the shards.
-            for pid in list(self.records):
-                if pid != rm_id:
-                    self._forward_record(pid)
+
+    def _watch_local_rm(self, rm_id: str) -> None:
+        """If this agent hosts the elected RM, announce ``rm_ready`` as
+        soon as the node has assumed the role."""
+        node = self.local.get(rm_id)
+        if node is None or self._rm_watch is not None:
+            return
+        self._rm_watch = asyncio.get_running_loop().create_task(
+            self._announce_when_assumed(node),
+            name=f"rmwatch:{self.node_id}",
+        )
+
+    async def _announce_when_assumed(self, node: "LiveNode") -> None:
+        await node.assumed.wait()
+        if not self.rm_ready:
+            self.announce_rm_ready()
+            self.log.info(
+                "rm %s ready (epoch %d)", node.node_id, self.rm_epoch
+            )
 
     # -- outbound ----------------------------------------------------------
     def _ack(self, pid: str, role: str) -> None:
         roster_slice: Dict[str, Dict[str, Any]] = {}
-        # Address-only entries (no "power" key — the live node skips
-        # info-base admission for these): the RM and this agent, enough
-        # for an external v1 node to reach the control plane.
+        # Address-only entries: the RM and this agent, enough for an
+        # external v1 node to reach the control plane.
         if self.rm_id is not None:
             rm_entry = self.roster.get(self.rm_id)
             if rm_entry is not None:
@@ -408,7 +437,7 @@ class RosterAgent:
         ))
 
     def _forward_record(self, pid: str) -> None:
-        """Hand a member's full record to the RM (old bootstrap path)."""
+        """Hand a member's full record to the RM for admission."""
         rec = self.records.get(pid)
         if rec is None or self.rm_id is None:
             return

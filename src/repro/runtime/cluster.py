@@ -1,11 +1,12 @@
 """An in-process live domain: N peers + 1 elected RM over localhost UDP.
 
-:class:`LiveCluster` is the harness tests and demos build on.  It
-spawns a :class:`~repro.runtime.bootstrap.BootstrapServer` plus one
+:class:`LiveCluster` is the harness tests and demos build on.  It runs
+one :class:`~repro.runtime.agent.RosterAgent` plus one
 :class:`~repro.runtime.node.LiveNode` per spec on a single asyncio
-loop, waits for registration + RM election, and exposes an async
-application API (submit a task, await its completion, read per-node
-traffic summaries).
+loop — the same membership protocol as a 1-shard sharded cluster —
+waits for registration + RM election, and exposes an async application
+API (submit a task, await its completion, read per-node traffic
+summaries).
 
 The default population is the paper's Figure-1 worked example: peers
 ``P1..P4`` hosting the eight transcoding edges (``P1`` stores the
@@ -17,16 +18,20 @@ from __future__ import annotations
 
 import asyncio
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.manager import RMConfig
 from repro.media.fig1 import build_fig1_graph
 from repro.media.objects import MediaObject
-from repro.runtime.bootstrap import BOOTSTRAP_ID, BootstrapServer
+from repro.runtime.agent import RosterAgent
 from repro.runtime.node import LiveNode, NodeSpec
 from repro.runtime.transport import PeerDirectory
 from repro.tasks.task import ApplicationTask
+
+#: The in-process cluster is one shard of the sharded runtime.
+SHARD_ID = "s0"
+PROFILER_UPDATE_PERIOD = 0.5
 
 
 @dataclass
@@ -34,29 +39,14 @@ class LiveClusterConfig:
     """Knobs for the in-process live domain."""
 
     n_peers: int = 4
-    host: str = "127.0.0.1"
-    domain_id: str = "d0"
     #: Duration of the demo media object; work scales with it (the
     #: Fig-1 edges are calibrated for 60 s), so short objects keep live
     #: runs wall-clock fast.
     object_duration_s: float = 3.0
-    profiler_update_period: float = 0.5
-    peer_power: float = 10.0
-    peer_bandwidth: float = 1.25e6
-    peer_uptime: float = 0.9
-    rm_candidate_id: str = "M0"
-    rm_power: float = 50.0
-    rm_bandwidth: float = 1.0e7
-    rm_uptime: float = 1.0
-    join_timeout: float = 10.0
-    #: Placement policy name the elected RM runs (registry name;
-    #: overrides ``rm_config.placement_policy`` when non-default).
+    #: Placement policy name the elected RM runs (registry name).
     placement_policy: str = "paper"
     #: Reputation-gated load reports on the elected RM (``--defense``).
     enable_defense: bool = False
-    rm_config: Optional[RMConfig] = None
-    #: Extra kwargs forwarded to every UdpTransport (test shims).
-    transport_kwargs: Dict[str, Any] = field(default_factory=dict)
 
 
 def fig1_specs(cfg: LiveClusterConfig) -> List[NodeSpec]:
@@ -74,11 +64,8 @@ def fig1_specs(cfg: LiveClusterConfig) -> List[NodeSpec]:
     )
     specs: List[NodeSpec] = [
         NodeSpec(
-            node_id=cfg.rm_candidate_id,
-            power=cfg.rm_power,
-            bandwidth=cfg.rm_bandwidth,
-            uptime=cfg.rm_uptime,
-            profiler_update_period=cfg.profiler_update_period,
+            node_id="M0", power=50.0, bandwidth=1.0e7,
+            uptime=1.0, profiler_update_period=PROFILER_UPDATE_PERIOD,
         )
     ]
     peer_ids = scenario.peers[: cfg.n_peers]
@@ -86,19 +73,16 @@ def fig1_specs(cfg: LiveClusterConfig) -> List[NodeSpec]:
         peer_ids.append(f"P{i + 1}")
     for pid in peer_ids:
         specs.append(NodeSpec(
-            node_id=pid,
-            power=cfg.peer_power,
-            bandwidth=cfg.peer_bandwidth,
-            uptime=cfg.peer_uptime,
+            node_id=pid, power=10.0, bandwidth=1.25e6, uptime=0.9,
             objects=[movie] if pid == "P1" else [],
             service_edges=edges_by_peer.get(pid, []),
-            profiler_update_period=cfg.profiler_update_period,
+            profiler_update_period=PROFILER_UPDATE_PERIOD,
         ))
     return specs
 
 
 class LiveCluster:
-    """1 bootstrap + N live nodes on one asyncio loop."""
+    """1 roster agent + N live nodes on one asyncio loop."""
 
     def __init__(
         self,
@@ -108,7 +92,7 @@ class LiveCluster:
         self.config = config or LiveClusterConfig()
         self.specs = specs if specs is not None else fig1_specs(self.config)
         self.directory = PeerDirectory()
-        self.bootstrap: Optional[BootstrapServer] = None
+        self.agent: Optional[RosterAgent] = None
         self.nodes: Dict[str, LiveNode] = {}
         #: (wall-ish sim time, task_id, event) in arrival order.
         self.task_events: List[Tuple[float, str, str]] = []
@@ -126,31 +110,22 @@ class LiveCluster:
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> "LiveCluster":
         cfg = self.config
-        rm_config = cfg.rm_config or RMConfig(
-            expected_update_period=cfg.profiler_update_period,
+        rm_config = RMConfig(
+            expected_update_period=PROFILER_UPDATE_PERIOD,
+            placement_policy=cfg.placement_policy,
+            enable_defense=cfg.enable_defense,
         )
-        if cfg.placement_policy != "paper":
-            rm_config.placement_policy = cfg.placement_policy
-        if cfg.enable_defense:
-            rm_config.enable_defense = True
-        self.bootstrap = BootstrapServer(
-            self.directory,
-            expected_peers=len(self.specs),
-            domain_id=cfg.domain_id,
-            host=cfg.host,
-            **cfg.transport_kwargs,
+        self.agent = RosterAgent(
+            SHARD_ID, self.directory, expected_nodes=len(self.specs),
         )
-        await self.bootstrap.start()
+        await self.agent.start()
         for spec in self.specs:
-            self.nodes[spec.node_id] = LiveNode(
-                spec, self.directory,
-                bootstrap_id=BOOTSTRAP_ID,
-                host=cfg.host,
-                rm_config=rm_config,
-                on_task_event=self._on_task_event,
-                join_timeout=cfg.join_timeout,
-                **cfg.transport_kwargs,
+            node = LiveNode(
+                spec, self.directory, agent_id=self.agent.node_id,
+                rm_config=rm_config, on_task_event=self._on_task_event,
             )
+            self.agent.register_local(node)
+            self.nodes[spec.node_id] = node
         await asyncio.gather(*(n.start() for n in self.nodes.values()))
         return self
 
@@ -162,8 +137,8 @@ class LiveCluster:
             *(n.stop() for n in self.nodes.values()),
             return_exceptions=True,
         )
-        if self.bootstrap is not None:
-            await self.bootstrap.transport.aclose()
+        if self.agent is not None:
+            await self.agent.close()
 
     async def __aenter__(self) -> "LiveCluster":
         return await self.start()
@@ -184,13 +159,8 @@ class LiveCluster:
 
     async def add_peer(self, spec: NodeSpec) -> LiveNode:
         """Late join: register a new peer with the running domain."""
-        node = LiveNode(
-            spec, self.directory,
-            bootstrap_id=BOOTSTRAP_ID,
-            host=self.config.host,
-            join_timeout=self.config.join_timeout,
-            **self.config.transport_kwargs,
-        )
+        assert self.agent is not None
+        node = LiveNode(spec, self.directory, agent_id=self.agent.node_id)
         self.nodes[spec.node_id] = node
         await node.start()
         return node
@@ -279,10 +249,10 @@ class LiveCluster:
         return sampler
 
     def summaries(self) -> Dict[str, Dict[str, Any]]:
-        """Per-node traffic summaries (plus the bootstrap's)."""
+        """Per-node traffic summaries (plus the roster agent's)."""
         out = {nid: n.summary() for nid, n in self.nodes.items()}
-        if self.bootstrap is not None:
-            out[self.bootstrap.node_id] = self.bootstrap.transport.summary()
+        if self.agent is not None:
+            out[self.agent.node_id] = self.agent.transport.summary()
         return out
 
     def aggregate_summary(self) -> Dict[str, Any]:

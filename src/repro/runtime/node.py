@@ -157,19 +157,19 @@ class LiveNode:
     """One middleware process: socket + event kernel + protocol endpoint.
 
     Lifecycle: :meth:`start` binds the UDP socket, starts the clock
-    pump, registers with the bootstrap service, and — once the
-    ``JOIN_ACK`` assigns a role — constructs the *ordinary* protocol
-    object (a :class:`Peer`, or a :class:`ResourceManager` if this node
-    won the §4.1 qualification election).  From then on the node is
-    indistinguishable from its simulated twin: same handlers, same
-    message kinds, same timeouts.
+    pump, registers with its roster agent, and — once the ``JOIN_ACK``
+    assigns a role — constructs the *ordinary* protocol object (a
+    :class:`Peer`, or a :class:`ResourceManager` if this node won the
+    §4.1 qualification election) and sets :attr:`assumed`.  From then
+    on the node is indistinguishable from its simulated twin: same
+    handlers, same message kinds, same timeouts.
     """
 
     def __init__(
         self,
         spec: NodeSpec,
         directory: PeerDirectory,
-        bootstrap_id: str = "bootstrap",
+        agent_id: str,
         host: str = "127.0.0.1",
         port: int = 0,
         rm_config: Optional[RMConfig] = None,
@@ -177,11 +177,10 @@ class LiveNode:
         on_task_event: Optional[TaskEventFn] = None,
         join_timeout: float = 10.0,
         join_extra: Optional[Dict[str, Any]] = None,
-        **transport_kwargs: Any,
     ) -> None:
         self.spec = spec
         self.node_id = spec.node_id
-        self.bootstrap_id = bootstrap_id
+        self.agent_id = agent_id
         self.rm_config = rm_config
         self.allocator = allocator
         self.on_task_event = on_task_event
@@ -194,7 +193,7 @@ class LiveNode:
         self.directory = directory
         self.transport = UdpTransport(
             spec.node_id, directory, self._on_wire_message,
-            host=host, port=port, **transport_kwargs,
+            host=host, port=port,
         )
         #: The protocol endpoint; built once the JOIN_ACK assigns a role.
         self.node: Optional[Peer] = None
@@ -202,6 +201,8 @@ class LiveNode:
         self.rm_id: Optional[str] = None
         self.domain_id: Optional[str] = None
         self._joined = asyncio.Event()
+        #: Set once the protocol endpoint for the assigned role exists.
+        self.assumed = asyncio.Event()
         self._join_payload: Optional[Dict[str, Any]] = None
         self._pump_task: Optional[asyncio.Task] = None
         self.log = get_logger("runtime.node", spec.node_id)
@@ -212,7 +213,7 @@ class LiveNode:
         await self.transport.start()
         self.log.info(
             "bound %s:%s, joining via %s",
-            self.transport.host, self.transport.port, self.bootstrap_id,
+            self.transport.host, self.transport.port, self.agent_id,
         )
         self._pump_task = asyncio.get_running_loop().create_task(
             self.pump.run(), name=f"pump:{self.node_id}"
@@ -231,7 +232,7 @@ class LiveNode:
             self.transport.send(Message(
                 kind=protocol.JOIN_REQUEST,
                 src=self.node_id,
-                dst=self.bootstrap_id,
+                dst=self.agent_id,
                 payload=self._join_request_payload(),
                 size=protocol.size_of(protocol.JOIN_REQUEST),
             ))
@@ -274,11 +275,11 @@ class LiveNode:
         }
 
     async def leave(self) -> None:
-        """Graceful departure: PEER_LEAVE to RM and bootstrap, then down."""
+        """Graceful departure: PEER_LEAVE to RM and agent, then down."""
         payload = {"peer_id": self.node_id}
         self.transport.send(Message(
             kind=protocol.PEER_LEAVE, src=self.node_id,
-            dst=self.bootstrap_id, payload=payload,
+            dst=self.agent_id, payload=payload,
             size=protocol.size_of(protocol.PEER_LEAVE),
         ))
         if self.node is not None and self.node.alive:
@@ -300,7 +301,7 @@ class LiveNode:
     # -- wiring ------------------------------------------------------------
     def _on_wire_message(self, msg: Message) -> None:
         if self.node is None:
-            # Pre-role phase: only the bootstrap handshake is understood.
+            # Pre-role phase: only the join handshake is understood.
             if msg.kind == protocol.JOIN_ACK and not self._joined.is_set():
                 self._join_payload = msg.payload
                 self._joined.set()
@@ -313,8 +314,8 @@ class LiveNode:
         self.rm_id = ack["rm_id"]
         self.domain_id = ack.get("domain_id", "d0")
         roster: Dict[str, Dict[str, Any]] = ack.get("roster", {})
-        # Learn every member's address (a shared directory already has
-        # them; a per-process one needs this).
+        # Learn the RM's and the agent's addresses (a shared directory
+        # already has them; a per-process one needs this).
         for pid, rec in roster.items():
             if pid != self.node_id and pid not in self.directory:
                 self.directory.add(pid, rec["host"], rec["port"])
@@ -326,13 +327,10 @@ class LiveNode:
                 peer_config=self.spec.peer_config(),
                 on_task_event=self.on_task_event,
             )
-            # Membership wiring for the live join protocol: the
-            # bootstrap forwards JOIN_REQUESTs here; admission reuses
-            # the same roster/info-base paths as the simulator overlay.
+            # Membership wiring for the live join protocol: the roster
+            # agents forward JOIN_REQUESTs here; admission reuses the
+            # same roster/info-base paths as the simulator overlay.
             node.on(protocol.JOIN_REQUEST, self._make_rm_join_handler(node))
-            for pid, rec in roster.items():
-                if pid != self.node_id:
-                    self._rm_admit(node, rec)
         else:
             node = Peer(
                 self.env, self.transport, self.node_id,
@@ -349,12 +347,10 @@ class LiveNode:
             self.role, self.rm_id, self.domain_id,
         )
         self.pump.kick()
+        self.assumed.set()
 
     def _rm_admit(self, rm: ResourceManager, rec: Dict[str, Any]) -> None:
         """Fold one announced member into the RM's information base."""
-        if "power" not in rec:
-            return  # address-only roster slice (sharded ack); the full
-            # capability record arrives via a roster-agent forward
         if rm.info.has_peer(rec["peer_id"]):
             return
         rm.admit_peer(

@@ -35,7 +35,7 @@ import os
 import random
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set
 
 from repro import telemetry
@@ -93,7 +93,6 @@ class ShardConfig:
     #: their old ids.
     respawn: bool = False
     seed: Optional[int] = None
-    transport_kwargs: Dict[str, Any] = field(default_factory=dict)
 
 
 class ShardHost:
@@ -195,9 +194,7 @@ class ShardHost:
             expected_nodes=cfg.expected_nodes,
             host=cfg.host,
             gossip_period=cfg.gossip_period,
-            on_rm_state=self._on_rm_state,
             rng=self._rng,
-            **cfg.transport_kwargs,
         )
         await self.agent.start()
         self._tasks.append(self._loop.create_task(
@@ -226,17 +223,17 @@ class ShardHost:
             pulled = await self.agent.pull_roster(timeout=cfg.join_timeout)
             self.log.info("respawn roster pull: ok=%s", pulled)
         for spec in cfg.specs:
-            self.agent.register_local(spec.node_id)
-            self.nodes[spec.node_id] = LiveNode(
+            node = LiveNode(
                 spec, self.directory,
-                bootstrap_id=self.agent.node_id,
+                agent_id=self.agent.node_id,
                 host=cfg.host,
                 rm_config=cfg.rm_config,
                 on_task_event=self._on_task_event,
                 join_timeout=cfg.join_timeout,
                 join_extra={"shard": cfg.shard_id},
-                **cfg.transport_kwargs,
             )
+            self.agent.register_local(node)
+            self.nodes[spec.node_id] = node
         await asyncio.gather(*(n.start() for n in self.nodes.values()))
         self.log.info(
             "all %d nodes joined (rm=%s)", len(self.nodes), self.agent.rm_id
@@ -254,25 +251,6 @@ class ShardHost:
             self._tasks.append(self._loop.create_task(
                 self._ship_loop(), name=f"ship:{cfg.shard_id}"
             ))
-
-    # -- RM watch ----------------------------------------------------------
-    def _on_rm_state(self, rm_id: str, ready: bool, epoch: int) -> None:
-        """Agent callback: if this shard hosts the elected RM, announce
-        rm_ready once the local node has actually assumed the role."""
-        if ready or rm_id not in self.nodes or self._loop is None:
-            return
-        self._loop.create_task(
-            self._watch_rm(rm_id, epoch), name=f"rmwatch:{self.cfg.shard_id}"
-        )
-
-    async def _watch_rm(self, rm_id: str, epoch: int) -> None:
-        node = self.nodes[rm_id]
-        while node.role != "rm" or node.node is None:
-            await asyncio.sleep(0.05)
-        assert self.agent is not None
-        if not self.agent.rm_ready:
-            self.agent.announce_rm_ready()
-            self.log.info("rm %s ready (epoch %d)", rm_id, epoch + 1)
 
     # -- control pipe ------------------------------------------------------
     async def _pipe_loop(self) -> None:

@@ -1,7 +1,7 @@
 """End-to-end: a live domain over localhost UDP completes a media task.
 
 The acceptance scenario for the live runtime: a
-:class:`~repro.runtime.cluster.LiveCluster` of one bootstrap, one
+:class:`~repro.runtime.cluster.LiveCluster` of one roster agent, one
 elected RM and four peers — real sockets, wall-clock event kernels —
 admits and completes a Figure-1 transcoding task through the full
 ``TASK_REQUEST -> TASK_ACK -> COMPOSE -> START_STREAM -> STREAM ->
@@ -20,7 +20,11 @@ from repro.core import protocol
 from repro.core.manager import ResourceManager
 from repro.core.peer import Peer
 from repro.net.network import ConstantLatency, Network
-from repro.runtime.cluster import LiveCluster, LiveClusterConfig
+from repro.runtime.cluster import (
+    PROFILER_UPDATE_PERIOD,
+    LiveCluster,
+    LiveClusterConfig,
+)
 from repro.runtime.node import NodeSpec
 from repro.sim.core import Environment
 
@@ -61,7 +65,7 @@ def live_run():
                 if tid == ack["task_id"]
             ]
 
-            # Late join through the bootstrap -> RM forwarding path.
+            # Late join through the agent -> RM forwarding path.
             await cluster.add_peer(NodeSpec(node_id="P9", power=8.0))
             await asyncio.sleep(0.1)
             out["p9_admitted"] = rm.node.info.has_peer("P9")
@@ -73,7 +77,7 @@ def live_run():
 
             # Idle past one profiler period so at least one wall-clock
             # LOAD_UPDATE heartbeat crosses the wire.
-            await asyncio.sleep(config.profiler_update_period + 0.3)
+            await asyncio.sleep(PROFILER_UPDATE_PERIOD + 0.3)
             out["aggregate"] = cluster.aggregate_summary()
             out["summaries"] = cluster.summaries()
         return out
@@ -132,7 +136,7 @@ def test_live_handlers_are_the_simulator_handlers(live_run):
     for kind, fn in sim_rm_table.items():
         assert live_rm_table[kind] is fn, f"forked RM handler for {kind}"
     # The only live-side addition is membership wiring (JOIN_REQUEST
-    # forwarded by the bootstrap) — not a protocol fork.
+    # forwarded by the roster agent) — not a protocol fork.
     assert set(live_rm_table) - set(sim_rm_table) == {protocol.JOIN_REQUEST}
 
     sim_peer_table = table(sim_peer._handlers)

@@ -456,7 +456,7 @@ class TestLiveTracing:
             assert hop.parent_id == task_span.span_id
             assert hop.status == "ok"
 
-    def test_trace_links_bootstrap_rm_and_peers(self, live_trace):
+    def test_trace_links_agent_rm_and_peers(self, live_trace):
         tel = live_trace["tel"]
         trace_id = f"task:{live_trace['task_id']}"
         msg_nodes = {
