@@ -7,10 +7,10 @@ Two invariants from the self-observation work:
   to the pre-profiler seed: 190,173 kernel events and 25,671 messages.
   The profile hook lives in a separate kernel loop variant, so the
   disabled path must not drift by even one event.
-* **Enabled is cheap** — with ``--profile --sample`` at the default 2%
-  budget, events/sec on the same rung degrades by less than 5% versus
-  the profiler disabled (same ``--sample`` run, no profiler attached:
-  the sampler's own cost predates the profiler and is bounded
+* **Enabled is cheap** — with ``--profile --sample`` at the fixed 10 Hz
+  wall sampling rate, events/sec on the same rung degrades by less than
+  5% versus the profiler disabled (same ``--sample`` run, no profiler
+  attached: the sampler's own cost predates the profiler and is bounded
   separately in ``test_telemetry_overhead.py``).
 
 The overhead comparison interleaves the two arms (off, on, off, on,
@@ -62,7 +62,7 @@ def test_profile_sample_overhead_within_budget():
     sampled_fn()
     for _ in range(PAIRS):
         off = _timed(sampled_fn)
-        sess = profile_wall(budget=0.02)
+        sess = profile_wall()
         try:
             on = _timed(sampled_fn)
         finally:
@@ -76,11 +76,7 @@ def test_profile_sample_overhead_within_budget():
         f"rung (pair ratios: {[round(r, 3) for r in ratios]})"
     )
 
-    # The profiler actually observed the run, and the budgeter either
-    # kept measured overhead near the target or visibly reacted to it.
+    # The profiler actually observed the run, and its own metered
+    # cost (measured plus modelled GIL tax) stayed within 4% of wall.
     assert last_record is not None and last_record["samples"] > 0
-    budget = last_record["budget"]
-    assert (
-        budget["overhead_cumulative"] <= 2 * budget["target"]
-        or budget["backoffs"] > 0
-    )
+    assert last_record["overhead"] <= 0.04, last_record

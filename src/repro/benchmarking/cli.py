@@ -56,7 +56,7 @@ def _print_hot_paths(
         print(
             f"\n{r.name}: {prof['samples']} samples / "
             f"{prof['unique_stacks']} stacks; profiler overhead "
-            f"{prof['budget']['overhead_cumulative']:.2%}"
+            f"{prof['overhead']:.2%}"
         )
         for entry in prof.get("top", [])[:top_n]:
             leaf = entry["stack"].rsplit(";", 1)[-1]

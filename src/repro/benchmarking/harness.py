@@ -126,7 +126,7 @@ def run_benchmark(
     little overhead, so profiled runs should not be gated against an
     unprofiled baseline (the CLI refuses).  *profile_period* overrides
     the sampling period — quick rungs finish in well under a second,
-    so capturing stacks from them needs a faster clock than the 20 Hz
+    so capturing stacks from them needs a faster clock than the 10 Hz
     default.
     """
     if repeat < 1:

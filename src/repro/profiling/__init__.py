@@ -1,4 +1,4 @@
-"""Self-observation: in-process profiling, overhead budgeting, SLOs.
+"""Self-observation: in-process profiling, an overhead gauge, SLOs.
 
 The telemetry stack (:mod:`repro.telemetry`) observes the *protocol*;
 this package observes the *system running it*:
@@ -8,14 +8,12 @@ this package observes the *system running it*:
 * :mod:`repro.profiling.sampler` — the two sampling drivers
   (timer-thread ``sys._current_frames`` for the live runtime,
   event-count dispatch sampling for the simulator),
-* :mod:`repro.profiling.budget` — the adaptive overhead budgeter
-  keeping total observability self-cost under a configured fraction of
-  wall time (default 2%),
 * :mod:`repro.profiling.slo` — SLO definitions + multi-window
   burn-rate alerting over HealthSampler series, dumped to the flight
   recorder,
 * :mod:`repro.profiling.attach` — one-call wiring per runtime
-  (:func:`profile_sim` / :func:`profile_wall`),
+  (:func:`profile_sim` / :func:`profile_wall`) and the whole-run
+  overhead gauge,
 * :mod:`repro.profiling.folded` — ``.folded`` profile I/O, cross-shard
   merge, and share-normalized run-to-run diffing.
 
@@ -28,11 +26,6 @@ from repro.profiling.attach import (
     ProfileSession,
     profile_sim,
     profile_wall,
-)
-from repro.profiling.budget import (
-    DEFAULT_BUDGET,
-    Actuator,
-    OverheadBudgeter,
 )
 from repro.profiling.folded import (
     diff_folded,
@@ -57,13 +50,10 @@ from repro.profiling.slo import (
 from repro.profiling.stacks import StackAggregator, fold_frames
 
 __all__ = [
-    "Actuator",
     "BurnAlert",
     "BurnRateMonitor",
-    "DEFAULT_BUDGET",
     "DEFAULT_GIL_HANDOFF_S",
     "DEFAULT_SLOS",
-    "OverheadBudgeter",
     "ProfileSession",
     "SLO",
     "SimEventProfiler",

@@ -1,14 +1,13 @@
-"""One-call wiring of profiler + budgeter + SLO monitor per runtime.
+"""One-call wiring of profiler + overhead gauge + SLO monitor per runtime.
 
 The CLIs (``repro-run --profile``, ``repro-live --profile``,
 ``repro-bench --profile``) and tests all want the same bundle:
 
 * the right sampling driver for the runtime (event-count for sim,
-  timer-thread for live),
-* an :class:`OverheadBudgeter` fed every self-cost source in play and
-  actuating the profiler's rate knob,
-* when a :class:`HealthSampler` is attached: budgeter decisions as
-  series, a :class:`BurnRateMonitor` over the stock SLOs, and the
+  timer-thread for live), sampling at a fixed rate,
+* one whole-run overhead gauge over every self-cost source in play,
+* when a :class:`HealthSampler` is attached: a :class:`BurnRateMonitor`
+  over the stock SLOs, evaluated on every sampler tick, and the
   flight-recorder cooldown-gauge refresh probe.
 
 :func:`profile_sim` / :func:`profile_wall` build that bundle and return
@@ -20,28 +19,15 @@ record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from time import perf_counter
+from typing import Any, Dict, Optional
 
-from repro.profiling.budget import (
-    DEFAULT_BUDGET,
-    Actuator,
-    OverheadBudgeter,
-)
 from repro.profiling.sampler import (
     DEFAULT_PERIOD,
-    DEFAULT_STRIDE,
     SimEventProfiler,
     WallStackProfiler,
 )
-from repro.profiling.slo import (
-    DEFAULT_SLOS,
-    BurnRateMonitor,
-    SLO,
-)
-
-#: Actuation ranges: sim stride in events, wall period in seconds.
-SIM_STRIDE_RANGE = (16.0, 65536.0)
-WALL_PERIOD_RANGE = (0.005, 1.0)
+from repro.profiling.slo import BurnRateMonitor
 
 
 @dataclass
@@ -50,14 +36,12 @@ class ProfileSession:
 
     runtime: str  # "sim" | "wall"
     profiler: Any
-    budgeter: OverheadBudgeter
     monitor: Optional[BurnRateMonitor] = None
     sampler: Any = None
-    #: Set when the session created the flight recorder itself (the
-    #: scenario had none); the caller then owns closing it.
-    created_recorder: Any = None
     folded_path: Optional[str] = None
-    _extra: Dict[str, Any] = field(default_factory=dict)
+    #: Wall-clock start and (once stopped) end of the observed run.
+    t_start: float = field(default_factory=perf_counter)
+    t_stop: Optional[float] = None
 
     # -- lifecycle ----------------------------------------------------------
     def stop(self) -> None:
@@ -66,7 +50,7 @@ class ProfileSession:
             self.profiler.detach()
         else:
             self.profiler.stop()
-        self.budgeter.evaluate()
+        self.t_stop = perf_counter()
 
     def write_folded(self, path: str) -> Optional[str]:
         """Write the flamegraph artifact; None when nothing sampled."""
@@ -75,10 +59,41 @@ class ProfileSession:
         self.folded_path = self.profiler.agg.write_folded(path)
         return self.folded_path
 
+    # -- the overhead gauge -------------------------------------------------
+    def cost_s(self) -> float:
+        """Cumulative observability self-cost in wall seconds.
+
+        The wall profiler's cost includes its modelled GIL-handoff tax
+        (``estimated_cost_s``).  The monitor probe runs inside
+        ``sampler.sample()``, so its flight-recorder dump writes land in
+        ``sample_cost_s``; they are backed out — the dump is the alert's
+        deliverable, not observation overhead.
+        """
+        profiler = self.profiler
+        cost = getattr(profiler, "estimated_cost_s", profiler.self_time_s)
+        if self.sampler is not None:
+            cost += self.sampler.sample_cost_s
+        if self.monitor is not None:
+            cost -= self.monitor.dump_cost_s
+        return cost
+
+    @property
+    def overhead(self) -> float:
+        """Whole-run self-cost over wall time."""
+        end = self.t_stop if self.t_stop is not None else perf_counter()
+        wall = end - self.t_start
+        return self.cost_s() / wall if wall > 0 else 0.0
+
+    def publish_overhead(self, metrics) -> None:
+        metrics.gauge(
+            "repro_prof_overhead_ratio",
+            help="Whole-run observability self-cost / wall time.",
+        ).set(round(self.overhead, 6))
+
     # -- exports ------------------------------------------------------------
     def publish(self, metrics, top_n: int = 5) -> None:
         self.profiler.agg.publish(metrics, top_n=top_n)
-        self.budgeter.publish(metrics)
+        self.publish_overhead(metrics)
 
     def record(self, top_n: int = 20) -> Dict[str, Any]:
         """The ``profile`` JSONL trace record (sans ``type``)."""
@@ -97,7 +112,7 @@ class ProfileSession:
             rec["estimated_seconds"] = round(
                 self.profiler.estimated_cost_s, 6
             )
-        rec["budget"] = self.budgeter.record()
+        rec["overhead"] = round(self.overhead, 6)
         if self.monitor is not None:
             rec["slo"] = self.monitor.record()
         if self.folded_path:
@@ -111,9 +126,7 @@ class ProfileSession:
             "runtime": self.runtime,
             "samples": agg.n_samples,
             "unique_stacks": agg.unique_stacks,
-            "overhead_ratio": round(self.budgeter.overhead_cumulative, 5),
-            "budget": self.budgeter.budget,
-            "retunes": self.budgeter.n_backoffs + self.budgeter.n_recovers,
+            "overhead_ratio": round(self.overhead, 5),
         }
         if self.monitor is not None:
             out["slo_alerts"] = len(self.monitor.alerts)
@@ -124,145 +137,51 @@ class ProfileSession:
         return self.monitor.alerts if self.monitor is not None else []
 
 
-def _wire_budgeter(
-    budgeter: OverheadBudgeter, profiler, sampler, monitor
-) -> None:
-    # The wall profiler models the GIL-handoff tax each timer wakeup
-    # inflicts on application threads; the budgeter must meter that
-    # estimated total, not just the measured in-sampler time.  The sim
-    # profiler has no such hidden cost and exposes only self_time_s.
-    if hasattr(profiler, "estimated_cost_s"):
-        budgeter.add_source("profiler", lambda: profiler.estimated_cost_s)
-    else:
-        budgeter.add_source("profiler", lambda: profiler.self_time_s)
-    if sampler is not None:
-        if monitor is not None:
-            # The monitor probe runs inside sampler.sample(), so its
-            # flight-recorder dump writes land in sample_cost_s; back
-            # them out — the dump is the alert's deliverable, not
-            # observation overhead.
-            budgeter.add_source(
-                "health_sampler",
-                lambda: sampler.sample_cost_s - monitor.dump_cost_s,
-            )
-        else:
-            budgeter.add_source(
-                "health_sampler", lambda: sampler.sample_cost_s
-            )
-    # Evaluate from the profiler's own sample callback so the budgeter
-    # runs even without a sampler (rate-limited by min_interval).
-    profiler.on_sample = lambda _p: budgeter.maybe_evaluate()
+def _session(runtime, profiler, tel, sampler, recorder) -> ProfileSession:
+    """Bundle *profiler* with an SLO monitor when a sampler is given.
 
-
-def _wire_sampler_probes(
-    sampler, budgeter, monitor, recorder
-) -> None:
-    """Order matters: signal probes already registered, then budgeter
-    series, then SLO evaluation over this tick's fresh points, then the
-    cooldown-gauge refresh."""
-    sampler.add_probe(budgeter.as_probe())
-    if monitor is not None:
-        sampler.add_probe(monitor.as_probe())
-        # Second-stage knob: the monitor's full-window rescans dominate
-        # its cost, so the budgeter may thin the evaluation cadence
-        # once the profiler stride is exhausted.
-        budgeter.add_actuator(Actuator(
-            "slo_stride",
-            monitor.get_rate_setting,
-            monitor.set_rate_setting,
-            lo=1.0,
-            hi=32.0,
-        ))
-    if recorder is not None:
-        sampler.add_probe(lambda s: recorder.refresh_cooldowns(s.now))
-
-
-def profile_sim(
-    env,
-    tel=None,
-    sampler=None,
-    recorder=None,
-    budget: float = DEFAULT_BUDGET,
-    stride: int = DEFAULT_STRIDE,
-    slos: Tuple[SLO, ...] = DEFAULT_SLOS,
-    slo_kwargs: Optional[Dict[str, Any]] = None,
-) -> ProfileSession:
-    """Attach the profiling bundle to a simulation environment.
-
-    The profiler hook observes only and the budgeter never actuates the
-    sim sampler's period (that would change the simulated trajectory
-    mid-run) — with ``--profile`` the event trajectory is identical to
-    the same run without it.
+    Probe order matters: the signal probes already registered record
+    this tick's points, then the monitor evaluates them, then the
+    recorder refreshes its cooldown gauges.
     """
-    profiler = SimEventProfiler(env, stride=stride)
-    profiler.attach()
-    budgeter = OverheadBudgeter(budget=budget)
-    # lo = the configured stride: recovery restores the requested
-    # resolution after backoffs but never samples more finely than asked.
-    budgeter.add_actuator(Actuator(
-        "sim_stride",
-        profiler.get_rate_setting,
-        profiler.set_rate_setting,
-        lo=float(stride),
-        hi=max(float(stride), SIM_STRIDE_RANGE[1]),
-    ))
     monitor = None
     if sampler is not None:
-        monitor = BurnRateMonitor(
-            sampler, slos=slos, tel=tel, recorder=recorder,
-            **(slo_kwargs or {}),
-        )
-    _wire_budgeter(budgeter, profiler, sampler, monitor)
-    if monitor is not None:
-        _wire_sampler_probes(sampler, budgeter, monitor, recorder)
+        monitor = BurnRateMonitor(sampler, tel=tel, recorder=recorder)
+        sampler.add_probe(monitor.as_probe())
+        if recorder is not None:
+            sampler.add_probe(lambda s: recorder.refresh_cooldowns(s.now))
     return ProfileSession(
-        runtime="sim", profiler=profiler, budgeter=budgeter,
-        monitor=monitor, sampler=sampler,
+        runtime=runtime, profiler=profiler, monitor=monitor,
+        sampler=sampler,
     )
+
+
+def profile_sim(env, tel=None, sampler=None, recorder=None) -> ProfileSession:
+    """Attach the profiling bundle to a simulation environment.
+
+    The profiler hook observes only and samples every 64 events, so
+    with ``--profile`` the event trajectory — and every SLO alert over
+    it — is identical to the same run without it.
+    """
+    profiler = SimEventProfiler(env)
+    profiler.attach()
+    return _session("sim", profiler, tel, sampler, recorder)
 
 
 def profile_wall(
     tel=None,
     sampler=None,
     recorder=None,
-    budget: float = DEFAULT_BUDGET,
     period: float = DEFAULT_PERIOD,
-    slos: Tuple[SLO, ...] = DEFAULT_SLOS,
-    slo_kwargs: Optional[Dict[str, Any]] = None,
     start: bool = True,
-    gil_model: bool = True,
 ) -> ProfileSession:
     """Attach the profiling bundle to the live (wall-clock) runtime.
 
-    With *gil_model* (default), the profiler calibrates its per-wakeup
-    GIL-handoff cost on start and the budgeter meters the estimated
-    total cost; ``gil_model=False`` zeroes the model (budgeter sees
-    measured self-time only, the pre-model behaviour).
+    The profiler calibrates its per-wakeup GIL-handoff cost on start,
+    and the overhead gauge meters that estimated total cost.
     """
-    profiler = WallStackProfiler(
-        period=period,
-        gil_cost_per_sample=None if gil_model else 0.0,
-    )
-    budgeter = OverheadBudgeter(budget=budget)
-    budgeter.add_actuator(Actuator(
-        "wall_period",
-        profiler.get_rate_setting,
-        profiler.set_rate_setting,
-        lo=float(period),
-        hi=max(float(period), WALL_PERIOD_RANGE[1]),
-    ))
-    monitor = None
-    if sampler is not None:
-        monitor = BurnRateMonitor(
-            sampler, slos=slos, tel=tel, recorder=recorder,
-            **(slo_kwargs or {}),
-        )
-    _wire_budgeter(budgeter, profiler, sampler, monitor)
-    if monitor is not None:
-        _wire_sampler_probes(sampler, budgeter, monitor, recorder)
+    profiler = WallStackProfiler(period=period)
+    sess = _session("wall", profiler, tel, sampler, recorder)
     if start:
         profiler.start()
-    return ProfileSession(
-        runtime="wall", profiler=profiler, budgeter=budgeter,
-        monitor=monitor, sampler=sampler,
-    )
+    return sess

@@ -13,9 +13,8 @@
   the previous sample to the sampled dispatch (standard event-boundary
   sampling: hot handlers are hit in proportion to how often they run).
 
-Both expose the same budgeter-facing surface: ``self_time_s`` (their
-own measured cost), a retunable rate knob, and an ``on_sample``
-callback fired after each sample (the budgeter's evaluation trigger).
+Both sample at a fixed rate and expose ``self_time_s``, their own
+measured cost, which the session's overhead gauge meters.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import sys
 import threading
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.profiling.stacks import (
     DEFAULT_MAX_STACKS,
@@ -32,19 +31,19 @@ from repro.profiling.stacks import (
     fold_frames,
 )
 
-#: Default wall sampling period, seconds (20 Hz).  Each sample is
+#: Default wall sampling period, seconds (10 Hz).  Each sample is
 #: cheap to *take*, but every timer wakeup also forces a GIL handoff
-#: the self-cost clock cannot see; 20 Hz keeps that hidden tax a few
-#: percent while still collecting hundreds of samples per minute.
-DEFAULT_PERIOD = 0.05
+#: the self-cost clock cannot see; 10 Hz keeps that hidden tax around
+#: 1% while still collecting hundreds of samples per minute.
+DEFAULT_PERIOD = 0.1
 #: Default sim sampling stride, events.
 DEFAULT_STRIDE = 64
 
-#: Fallback per-wakeup GIL-handoff cost (seconds) when calibration is
-#: disabled or yields an implausible value.  Each timer wakeup makes
-#: the sampler thread contend for the GIL: the running app thread
-#: stalls for roughly one context handoff.  Tens of microseconds is
-#: the observed order on CPython 3.10–3.12.
+#: Fallback per-wakeup GIL-handoff cost (seconds) when calibration
+#: yields an implausible value.  Each timer wakeup makes the sampler
+#: thread contend for the GIL: the running app thread stalls for
+#: roughly one context handoff.  Tens of microseconds is the observed
+#: order on CPython 3.10–3.12.
 DEFAULT_GIL_HANDOFF_S = 50e-6
 
 #: Calibration results outside this band are discarded as noise.
@@ -126,23 +125,18 @@ class WallStackProfiler:
         aggregator: Optional[StackAggregator] = None,
         max_stacks: int = DEFAULT_MAX_STACKS,
         gil_cost_per_sample: Optional[float] = None,
-        calibrate_gil: bool = True,
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
-        #: Seconds between samples; the budgeter retunes this live.
+        #: Seconds between samples.
         self.period = float(period)
         self.agg = aggregator or StackAggregator(max_stacks=max_stacks)
         #: Cumulative wall seconds spent taking samples (self-cost).
         self.self_time_s = 0.0
         self.n_samples = 0
         #: Per-wakeup GIL-handoff cost model.  None means "calibrate on
-        #: start()" (or fall back to the default constant if calibration
-        #: is disabled); pass 0.0 to turn the model off entirely.
+        #: start()"; pass 0.0 to turn the model off entirely.
         self.gil_cost_per_sample = gil_cost_per_sample
-        self._calibrate_gil = calibrate_gil
-        #: Called as ``on_sample(profiler)`` after every sample.
-        self.on_sample: Optional[Callable[["WallStackProfiler"], None]] = None
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
 
@@ -158,17 +152,14 @@ class WallStackProfiler:
     def estimated_cost_s(self) -> float:
         """Total estimated profiler cost: measured self-time plus the
         modeled GIL-handoff tax.  This — not ``self_time_s`` alone — is
-        what the overhead budgeter should meter."""
+        what the overhead gauge meters."""
         return self.self_time_s + self.gil_cost_s
 
     def start(self) -> None:
         if self._thread is not None:
             return
         if self.gil_cost_per_sample is None:
-            self.gil_cost_per_sample = (
-                estimate_gil_handoff_cost() if self._calibrate_gil
-                else DEFAULT_GIL_HANDOFF_S
-            )
+            self.gil_cost_per_sample = estimate_gil_handoff_cost()
         self._stop.clear()
 
         def _run() -> None:
@@ -200,16 +191,6 @@ class WallStackProfiler:
             self.agg.add(fold_frames(frame), seconds=period)
         self.n_samples += 1
         self.self_time_s += perf_counter() - t0
-        cb = self.on_sample
-        if cb is not None:
-            cb(self)
-
-    # -- budgeter knob ------------------------------------------------------
-    def get_rate_setting(self) -> float:
-        return self.period
-
-    def set_rate_setting(self, period: float) -> None:
-        self.period = float(period)
 
     def __repr__(self) -> str:
         return (
@@ -237,17 +218,17 @@ class SimEventProfiler:
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
         self.env = env
-        self._stride_box = [int(stride)]
+        #: Events between samples.
+        self.stride = int(stride)
         self.agg = aggregator or StackAggregator(max_stacks=max_stacks)
         self.self_time_s = 0.0
         self.n_samples = 0
-        self.on_sample: Optional[Callable[["SimEventProfiler"], None]] = None
         self._last_t: Optional[float] = None
         self._attached = False
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self) -> None:
-        self.env.set_profile_hook(self._on_dispatch, self._stride_box)
+        self.env.set_profile_hook(self._on_dispatch, self.stride)
         self._attached = True
 
     def detach(self) -> None:
@@ -264,24 +245,6 @@ class SimEventProfiler:
         self.agg.add(describe_dispatch(event, callbacks), seconds=seconds)
         self.n_samples += 1
         self.self_time_s += perf_counter() - now
-        cb = self.on_sample
-        if cb is not None:
-            cb(self)
-
-    # -- budgeter knob ------------------------------------------------------
-    @property
-    def stride(self) -> int:
-        return self._stride_box[0]
-
-    @stride.setter
-    def stride(self, value: int) -> None:
-        self._stride_box[0] = max(1, int(value))
-
-    def get_rate_setting(self) -> float:
-        return float(self._stride_box[0])
-
-    def set_rate_setting(self, stride: float) -> None:
-        self._stride_box[0] = max(1, int(round(stride)))
 
     def __repr__(self) -> str:
         return (

@@ -140,16 +140,12 @@ class BurnRateMonitor:
         #: least ``warmup * window`` seconds — a nearly-empty slow
         #: window would otherwise scream on the first bad sample.
         self.warmup = float(warmup)
-        #: Evaluate every Nth sampler tick (the budgeter's SLO knob:
-        #: full-window rescans are the monitor's dominant cost).
-        self.eval_stride = 1
         #: Cumulative wall seconds spent evaluating (self-cost).
         self.self_time_s = 0.0
         #: Wall seconds spent writing flight-recorder dumps.  Excluded
-        #: from self-cost: the dump is the alert's deliverable, and
-        #: budgeting it would punish sampling for firing alerts.
+        #: from self-cost: the dump is the alert's deliverable, not
+        #: observation overhead.
         self.dump_cost_s = 0.0
-        self._tick = 0
         self._t_first: Optional[float] = None
         #: All alerts fired, in order.
         self.alerts: List[BurnAlert] = []
@@ -164,21 +160,12 @@ class BurnRateMonitor:
         def probe(s) -> None:
             t0 = perf_counter()
             d0 = self.dump_cost_s
-            self._tick += 1
-            if self._tick % max(1, self.eval_stride) == 0:
-                self.evaluate(s.now)
+            self.evaluate(s.now)
             self.self_time_s += (
                 perf_counter() - t0 - (self.dump_cost_s - d0)
             )
 
         return probe
-
-    # -- budgeter knob ------------------------------------------------------
-    def get_rate_setting(self) -> float:
-        return float(self.eval_stride)
-
-    def set_rate_setting(self, stride: float) -> None:
-        self.eval_stride = max(1, int(round(stride)))
 
     def evaluate(self, now: float) -> List[BurnAlert]:
         """One evaluation pass; returns alerts fired at this tick."""

@@ -97,14 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="attach the wall-clock sampling profiler + overhead "
-        "budgeter (and, with --sample, SLO burn-rate alerting over the "
-        "health series); writes a flame-ready .folded file on exit",
-    )
-    parser.add_argument(
-        "--profile-budget", type=float, default=None, metavar="FRAC",
-        help="observability overhead budget as a fraction of wall time "
-        "(default 0.02); the budgeter backs sampling off above it",
+        help="attach the wall-clock sampling profiler at 10 Hz (and, "
+        "with --sample, SLO burn-rate alerting over the health series); "
+        "writes a flame-ready .folded file on exit",
     )
     parser.add_argument(
         "--profile-folded", metavar="FILE", default=None,
@@ -165,15 +160,9 @@ async def run_live(
             )
             report["sampler"] = sampler
         if args.profile:
-            from repro.profiling import DEFAULT_BUDGET, profile_wall
+            from repro.profiling import profile_wall
 
-            profile_sess = profile_wall(
-                tel=tel, sampler=sampler,
-                budget=(
-                    args.profile_budget
-                    if args.profile_budget is not None else DEFAULT_BUDGET
-                ),
-            )
+            profile_sess = profile_wall(tel=tel, sampler=sampler)
             report["profile_session"] = profile_sess
         if args.metrics_port is not None:
             if tel is None:
@@ -181,8 +170,8 @@ async def run_live(
             from repro.telemetry.httpd import TelemetryHTTPServer
 
             def _metrics_text() -> str:
-                # Fold the live profiler/budgeter state into the
-                # registry on each scrape.
+                # Fold the live profiler state and overhead gauge into
+                # the registry on each scrape.
                 if profile_sess is not None:
                     profile_sess.publish(tel.metrics)
                 return tel.metrics.to_prometheus_text()
@@ -339,8 +328,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         configure_logging(args.log_level, json_lines=args.log_json)
     if args.sample is not None and not args.trace:
         parser.error("--sample requires --trace")
-    if args.profile_budget is not None and not args.profile:
-        parser.error("--profile-budget requires --profile")
     if args.profile_folded and not args.profile:
         parser.error("--profile-folded requires --profile")
     if args.shards:
@@ -402,9 +389,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(
                 f"profiler: {info['samples']} samples / "
                 f"{info['unique_stacks']} stacks; overhead "
-                f"{info['overhead_ratio']:.2%} "
-                f"(budget {info['budget']:.0%}, "
-                f"{info['retunes']} retunes)"
+                f"{info['overhead_ratio']:.2%}"
                 + (f" -> {path}" if path else ""),
                 file=sys.stderr,
             )

@@ -77,12 +77,10 @@ class ShardConfig:
     #: Directory for flight-recorder bundles (None = no recorder).
     record_dir: Optional[str] = None
     #: Join the cluster observability plane: ship spans/events up the
-    #: supervisor pipe, attach the wall profiler (with the GIL cost
-    #: model) + overhead budgeter, report health payloads in the
+    #: supervisor pipe, attach the 10 Hz wall profiler (with the GIL
+    #: cost model and overhead gauge), report health payloads in the
     #: heartbeat, and answer correlated snapshot requests.
     observe: bool = False
-    #: Wall profiler sampling period when ``observe`` is on.
-    profiler_period: float = 0.05
     #: Tasks/s this shard originates (0 = driven by ``submit`` messages).
     task_rate: float = 0.0
     task_deadline: float = 20.0
@@ -186,7 +184,6 @@ class ShardHost:
 
                 self.profile = profile_wall(
                     tel=self.tel, recorder=self.recorder,
-                    period=cfg.profiler_period, start=True,
                 )
         self.agent = RosterAgent(
             cfg.shard_id, self.directory,
@@ -496,7 +493,7 @@ class ShardHost:
                 help="Live agents in this shard's roster replica",
             ).set(float(counts["agents_up"]))
         if self.profile is not None:
-            self.profile.budgeter.publish(m)
+            self.profile.publish_overhead(m)
         return m.to_prometheus_text()
 
     def _health(self) -> Dict[str, Any]:

@@ -75,9 +75,6 @@ DEFAULT_FAMILY_AGG: Dict[str, str] = {
     "repro_slo_burn_rate": "max",
     "repro_slo_alert_active": "max",
     "repro_prof_overhead_ratio": "max",
-    "repro_prof_overhead_cumulative": "max",
-    "repro_prof_budget_target": "max",
-    "repro_prof_sample_setting": "max",
 }
 
 

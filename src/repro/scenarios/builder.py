@@ -60,23 +60,16 @@ class StressedScenario:
         return self.scenario.network
 
     # -- profiling ---------------------------------------------------------
-    def attach_profiling(
-        self,
-        budget: Optional[float] = None,
-        stride: Optional[int] = None,
-        out_dir: str = ".",
-    ):
+    def attach_profiling(self, out_dir: str = "."):
         """Arm the self-observation bundle (``repro-run --profile``).
 
         Attaches a :func:`~repro.profiling.profile_sim` session: the
-        event-count profiler, the overhead budgeter, and — when the spec
+        event-count profiler, the overhead gauge, and — when the spec
         has a ``health`` section — SLO burn-rate monitoring over the
         sampler series.  Specs that disabled the flight recorder get one
         created here anyway so SLO alerts have somewhere to dump.
         """
         from repro.profiling import profile_sim
-        from repro.profiling.budget import DEFAULT_BUDGET
-        from repro.profiling.sampler import DEFAULT_STRIDE
 
         if (
             self.tel is not None
@@ -99,8 +92,6 @@ class StressedScenario:
             tel=self.tel,
             sampler=self.sampler,
             recorder=self.recorder,
-            budget=DEFAULT_BUDGET if budget is None else budget,
-            stride=DEFAULT_STRIDE if stride is None else stride,
         )
         return self.profile
 

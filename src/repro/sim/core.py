@@ -51,7 +51,7 @@ class Environment:
         # (event, callbacks) after every stride-th dispatch.  None on the
         # default path, which keeps the plain run loop below untouched.
         self._profile_hook = None
-        self._profile_stride: list[int] = [1]
+        self._profile_stride = 1
         self._profile_i = 0
 
     # -- clock -------------------------------------------------------------
@@ -123,31 +123,29 @@ class Environment:
             raise event._value
         if self._profile_hook is not None:
             self._profile_i += 1
-            if self._profile_i >= self._profile_stride[0]:
+            if self._profile_i >= self._profile_stride:
                 self._profile_i = 0
                 self._profile_hook(event, callbacks)
 
     # -- profiling ----------------------------------------------------------
-    def set_profile_hook(self, hook, stride_box: Optional[list[int]] = None) -> None:
+    def set_profile_hook(self, hook, stride: int = 1) -> None:
         """Install a sampling hook on the event dispatch loop.
 
         *hook* is called as ``hook(event, callbacks)`` after every
-        stride-th event has been dispatched, where the stride is read live
-        from ``stride_box[0]`` (a one-element list the caller may mutate to
-        retune the sample rate mid-run).  The hook observes only: it must
-        not schedule events or mutate simulation state, so the event
+        *stride*-th event has been dispatched.  The hook observes only: it
+        must not schedule events or mutate simulation state, so the event
         trajectory is identical with or without it.  The unhooked run loop
         is untouched — :meth:`run` selects a separate loop variant when a
         hook is installed.
         """
         self._profile_hook = hook
-        self._profile_stride = stride_box if stride_box is not None else [1]
+        self._profile_stride = int(stride)
         self._profile_i = 0
 
     def clear_profile_hook(self) -> None:
         """Remove any installed profile hook."""
         self._profile_hook = None
-        self._profile_stride = [1]
+        self._profile_stride = 1
         self._profile_i = 0
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
@@ -198,7 +196,7 @@ class Environment:
                 # stride counter and the sampling call.  Kept separate so
                 # the default loops above/below stay byte-identical (the
                 # trajectory goldens time the unhooked path).
-                stride_box = self._profile_stride
+                stride = self._profile_stride
                 i = self._profile_i
                 if stop_at is None:
                     while queue:
@@ -212,7 +210,7 @@ class Environment:
                         if not event._ok and not callbacks:
                             raise event._value
                         i += 1
-                        if i >= stride_box[0]:
+                        if i >= stride:
                             i = 0
                             hook(event, callbacks)
                 else:
@@ -227,7 +225,7 @@ class Environment:
                         if not event._ok and not callbacks:
                             raise event._value
                         i += 1
-                        if i >= stride_box[0]:
+                        if i >= stride:
                             i = 0
                             hook(event, callbacks)
             elif stop_at is None:

@@ -7,7 +7,7 @@ Line types::
     {"type": "event",  "time": 0.2, "name": "rm.elected", ...}
     {"type": "metric", "name": "repro_udp_retransmits_total", ...}
     {"type": "series", "name": "repro_peer_load", "t": [...], "v": [...]}
-    {"type": "profile", "runtime": "sim", "top": [...], "budget": {...}}
+    {"type": "profile", "runtime": "sim", "top": [...], "overhead": 0.012}
 
 The format is append-friendly (a crashed run still yields a readable
 prefix) and greppable; :func:`read_jsonl` tolerates unknown line types

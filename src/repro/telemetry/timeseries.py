@@ -286,7 +286,7 @@ class HealthSampler:
         #: Probe exceptions swallowed (live probes race the event loop).
         self.errors = 0
         #: Cumulative wall seconds spent inside :meth:`sample` — the
-        #: sampler's self-cost, read by the overhead budgeter.
+        #: sampler's self-cost, read by the profiling overhead gauge.
         self.sample_cost_s = 0.0
         self._now = 0.0
         self._thread: Optional[threading.Thread] = None

@@ -40,9 +40,7 @@ def _run_scenario(args) -> int:
     ) or "."
     stressed = build_stressed_scenario(spec, out_dir=out_dir)
     if args.profile:
-        stressed.attach_profiling(
-            budget=args.profile_budget, out_dir=out_dir
-        )
+        stressed.attach_profiling(out_dir=out_dir)
     scenario = stressed.scenario
     print(
         f"scenario {spec.name!r}: {scenario.overlay.n_peers} peers / "
@@ -75,8 +73,7 @@ def _run_scenario(args) -> int:
         print(
             f"profiler: {info['samples']} samples / "
             f"{info['unique_stacks']} stacks; overhead "
-            f"{info['overhead_ratio']:.2%} (budget {info['budget']:.0%}, "
-            f"{info['retunes']} retunes)"
+            f"{info['overhead_ratio']:.2%}"
             + (f" -> {path}" if path else "")
         )
         for alert in sess.alerts:
@@ -165,15 +162,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="attach the in-process sampling profiler + overhead "
-        "budgeter (and, when health series are sampled, SLO burn-rate "
-        "alerting); writes a flame-ready .folded file.  Observation "
+        help="attach the in-process sampling profiler (every 64 "
+        "events) and, when health series are sampled, SLO burn-rate "
+        "alerting; writes a flame-ready .folded file.  Observation "
         "only: the event trajectory is unchanged.",
-    )
-    parser.add_argument(
-        "--profile-budget", type=float, default=None, metavar="FRAC",
-        help="observability overhead budget as a fraction of wall time "
-        "(default 0.02); the budgeter backs sampling off above it",
     )
     parser.add_argument(
         "--profile-folded", metavar="FILE", default=None,
@@ -187,8 +179,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.sample is not None and not args.trace:
         parser.error("--sample requires --trace")
-    if args.profile_budget is not None and not args.profile:
-        parser.error("--profile-budget requires --profile")
     if args.profile_folded and not args.profile:
         parser.error("--profile-folded requires --profile")
 
@@ -250,10 +240,6 @@ def main(argv: list[str] | None = None) -> int:
 
         profile_sess = profile_sim(
             scenario.env, tel=tel, sampler=sampler, recorder=recorder_fr,
-            budget=(
-                args.profile_budget
-                if args.profile_budget is not None else 0.02
-            ),
         )
     try:
         summary = scenario.run(duration=args.duration, drain=args.drain)
@@ -271,9 +257,7 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"profiler: {info['samples']} samples / "
                 f"{info['unique_stacks']} stacks; overhead "
-                f"{info['overhead_ratio']:.2%} "
-                f"(budget {info['budget']:.0%}, "
-                f"{info['retunes']} retunes)"
+                f"{info['overhead_ratio']:.2%}"
                 + (f" -> {path}" if path else "")
             )
             for alert in profile_sess.alerts:

@@ -554,9 +554,10 @@ class TestGilCostModel:
         sess.profiler.gil_cost_per_sample = 200e-6
         sess.profiler.n_samples = 100
         sess.profiler.self_time_s = 0.001
-        src = dict(sess.budgeter._sources)["profiler"]
-        assert src() == pytest.approx(0.001 + 0.02)
+        assert sess.cost_s() == pytest.approx(0.001 + 0.02)
+        sess.t_stop = sess.t_start + 1.0
         rec = sess.record(top_n=1)
+        assert rec["overhead"] == pytest.approx(0.021)
         assert rec["gil_per_sample_s"] == pytest.approx(200e-6)
         assert rec["gil_seconds"] == pytest.approx(0.02)
         assert rec["estimated_seconds"] == pytest.approx(0.021)

@@ -1,11 +1,11 @@
-"""The self-observing runtime: profiler, overhead budgeter, SLO burn.
+"""The self-observing runtime: profiler, overhead gauge, SLO burn.
 
-Covers the tentpole surfaces — sim/wall sampling profilers (with the
-trajectory-identity guarantee for the sim hook), folded-stack
-aggregation, the overhead budgeter's staged backoff/recovery, and
-multi-window SLO burn-rate alerting into the flight recorder — plus the
-satellites: SeriesRing rollup edge cases, the recorder's cooldown
-gauge/skip counter, and the liar_peers/liar_control SLO distinction.
+Covers the sim/wall sampling profilers (with the trajectory-identity
+guarantee for the sim hook), folded-stack aggregation, the whole-run
+overhead gauge, and multi-window SLO burn-rate alerting into the flight
+recorder — plus SeriesRing rollup edge cases, the recorder's cooldown
+gauge/skip counter, the liar_peers/liar_control SLO distinction, and
+seed replay of profiled sim runs.
 """
 
 from __future__ import annotations
@@ -18,17 +18,13 @@ import pytest
 import repro
 from repro import telemetry
 from repro.profiling import (
-    Actuator,
     BurnRateMonitor,
-    OverheadBudgeter,
     SLO,
     SimEventProfiler,
     StackAggregator,
     WallStackProfiler,
-    profile_sim,
     profile_wall,
 )
-from repro.profiling.budget import ACTION_CODES
 from repro.profiling.stacks import OTHER_KEY
 from repro.scenarios import build_stressed_scenario, load_spec
 from repro.sim import Environment
@@ -162,16 +158,6 @@ class TestSimEventProfiler:
         env.run()
         assert prof.agg.n_samples == 0
 
-    def test_rate_setting_is_live(self):
-        env = toy_sim()
-        prof = SimEventProfiler(env, stride=4)
-        prof.set_rate_setting(400.0)
-        assert prof.stride == 400
-        assert prof.get_rate_setting() == 400.0
-        # Never finer than one sample per event.
-        prof.set_rate_setting(0.2)
-        assert prof.stride == 1
-
 
 # -- the wall profiler -------------------------------------------------------
 
@@ -196,104 +182,6 @@ class TestWallStackProfiler:
         prof.stop()
         sleep(0.02)
         assert prof.agg.n_samples == n
-
-
-# -- the overhead budgeter ---------------------------------------------------
-
-class _SyntheticLoad:
-    """A cost source whose rate is inversely proportional to a knob."""
-
-    def __init__(self, rate: float):
-        self.rate = rate  # overhead ratio contributed at setting=1
-        self.setting = 1.0
-        self.cost = 0.0
-        self._last = perf_counter()
-
-    def tick(self):
-        now = perf_counter()
-        self.cost += (self.rate / self.setting) * (now - self._last)
-        self._last = now
-
-    def get(self):
-        return self.setting
-
-    def set(self, v):
-        self.setting = v
-
-
-class TestOverheadBudgeter:
-    def test_converges_under_synthetic_load_and_recovers(self):
-        load = _SyntheticLoad(rate=0.08)
-        budgeter = OverheadBudgeter(budget=0.02, min_interval=0.0)
-        budgeter.add_source("load", lambda: load.cost)
-        budgeter.add_actuator(
-            Actuator("knob", load.get, load.set, lo=1.0, hi=64.0)
-        )
-        for _ in range(8):
-            sleep(0.002)
-            load.tick()
-            budgeter.evaluate()
-        # 8% load / knob settles around the 2% budget: the knob lands
-        # in [4, 8] (timing jitter may overshoot one doubling, then
-        # hysteresis holds or walks it back).
-        assert 4.0 <= load.setting <= 8.0
-        assert budgeter.n_backoffs >= 2
-        assert budgeter.overhead_ratio <= 0.08 / 4.0 + 0.005
-        # Load vanishes -> recovery walks the knob back to full
-        # resolution (lo), never past it.
-        load.rate = 0.0
-        for _ in range(12):
-            sleep(0.002)
-            load.tick()
-            budgeter.evaluate()
-        assert load.setting == 1.0
-        assert budgeter.n_recovers >= 2
-
-    def test_severe_overshoot_backs_off_every_knob(self):
-        budgeter = OverheadBudgeter(budget=0.02, min_interval=0.0)
-        a = _SyntheticLoad(rate=0.0)
-        b = _SyntheticLoad(rate=0.0)
-        budgeter.add_actuator(Actuator("a", a.get, a.set, lo=1.0, hi=8.0))
-        budgeter.add_actuator(Actuator("b", b.get, b.set, lo=1.0, hi=8.0))
-        burst = _SyntheticLoad(rate=0.5)  # >> 2x budget: severe
-        budgeter.add_source("burst", lambda: burst.cost)
-        sleep(0.002)
-        burst.tick()
-        budgeter.evaluate()
-        assert a.setting == 2.0 and b.setting == 2.0
-
-    def test_mild_overshoot_moves_one_knob_in_order(self):
-        budgeter = OverheadBudgeter(budget=0.02, min_interval=0.0)
-        a = _SyntheticLoad(rate=0.0)
-        b = _SyntheticLoad(rate=0.0)
-        budgeter.add_actuator(Actuator("a", a.get, a.set, lo=1.0, hi=8.0))
-        budgeter.add_actuator(Actuator("b", b.get, b.set, lo=1.0, hi=8.0))
-        mild = _SyntheticLoad(rate=0.03)  # over budget, under 2x
-        budgeter.add_source("mild", lambda: mild.cost)
-        sleep(0.002)
-        mild.tick()
-        budgeter.evaluate()
-        assert a.setting == 2.0 and b.setting == 1.0
-
-    def test_decisions_are_recorded_with_settings(self):
-        load = _SyntheticLoad(rate=0.5)
-        budgeter = OverheadBudgeter(budget=0.02, min_interval=0.0)
-        budgeter.add_source("load", lambda: load.cost)
-        budgeter.add_actuator(
-            Actuator("knob", load.get, load.set, lo=1.0, hi=64.0)
-        )
-        sleep(0.002)
-        load.tick()
-        decision = budgeter.evaluate()
-        assert decision["action"] == "backoff"
-        assert decision["settings"] == {"knob": 2.0}
-        assert budgeter.decisions[-1] is decision
-        assert set(ACTION_CODES) == {"backoff", "hold", "recover"}
-
-    def test_min_interval_rate_limits(self):
-        budgeter = OverheadBudgeter(budget=0.02, min_interval=60.0)
-        budgeter.evaluate()
-        assert budgeter.maybe_evaluate() is None
 
 
 # -- SLO burn-rate alerting --------------------------------------------------
@@ -375,16 +263,14 @@ class TestBurnRateMonitor:
         # excursion hidden by the mean).
         assert n == 5 and frac == pytest.approx(2 / 5)
 
-    def test_burn_series_and_eval_stride_knob(self):
+    def test_burn_series_point_on_every_tick(self):
         sampler, monitor = self.make(warmup=0.0)
-        monitor.set_rate_setting(2.4)
-        assert monitor.eval_stride == 2
         drive(sampler, monitor, [(float(t), 0.0) for t in range(8)])
         ring = sampler.series(
             "repro_slo_burn_rate", slo="miss_rate", window="fast"
         )
-        # Every 2nd tick evaluates -> 4 burn points, all zero.
-        assert ring is not None and len(ring) == 4
+        # Every tick evaluates -> 8 burn points, all zero.
+        assert ring is not None and len(ring) == 8
         assert set(ring.values()) == {0.0}
 
 
@@ -581,6 +467,45 @@ class TestProfileSessions:
         assert "profile" in profiled and "profile" not in plain
         assert profiled["profile"]["samples"] > 0
 
+    def test_profiled_sim_run_replays_from_seed(self, tmp_path):
+        """Fixed sampling rates keep a profiled run seed-replayable: two
+        profiled runs take the same samples and fire the same SLO
+        alerts as the unprofiled run with a bare monitor."""
+
+        def run(profiled: bool):
+            spec = load_spec(os.path.join(
+                repo_root(), "benchmarks", "scenarios",
+                "liar_control.json",
+            ))
+            stressed = build_stressed_scenario(spec,
+                                               out_dir=str(tmp_path))
+            record = None
+            if profiled:
+                sess = stressed.attach_profiling(out_dir=str(tmp_path))
+                monitor = sess.monitor
+            else:
+                monitor = BurnRateMonitor(
+                    stressed.sampler, tel=stressed.tel,
+                    recorder=stressed.recorder,
+                )
+                stressed.sampler.add_probe(monitor.as_probe())
+            stressed.run()
+            if profiled:
+                record = sess.record()
+            alerts = [
+                (a.time, a.slo, a.window, round(a.burn, 3))
+                for a in monitor.alerts
+            ]
+            return record, alerts
+
+        first, alerts_a = run(profiled=True)
+        second, alerts_b = run(profiled=True)
+        _, bare_alerts = run(profiled=False)
+        assert first["stride"] == second["stride"] == 64
+        assert first["samples"] == second["samples"] > 0
+        assert bare_alerts, "liar_control should burn at least one SLO"
+        assert alerts_a == alerts_b == bare_alerts
+
     def test_profile_wall_session_lifecycle(self, tmp_path):
         tel = telemetry.activate(Telemetry.wall())
         sess = profile_wall(tel=tel, period=0.005)
@@ -591,11 +516,13 @@ class TestProfileSessions:
         sess.stop()
         rec = sess.record()
         assert rec["runtime"] == "wall" and rec["samples"] >= 2
-        assert "budget" in rec and "slo" not in rec
+        assert 0.0 < rec["overhead"] < 1.0 and "slo" not in rec
         path = sess.write_folded(str(tmp_path / "w.folded"))
         assert path and os.path.getsize(path) > 0
         sess.publish(tel.metrics)
-        assert tel.metrics.value("repro_prof_budget_target") == 0.02
+        assert tel.metrics.value(
+            "repro_prof_overhead_ratio"
+        ) == rec["overhead"]
 
     def test_liar_pair_slo_distinction(self, tmp_path):
         """liar_peers burns the miss-rate SLO; liar_control must not."""
@@ -645,7 +572,8 @@ class TestCLI:
         import json
         doc = json.load(open(tmp_path / "m.json"))
         assert doc["profile"]["runtime"] == "sim"
-        assert doc["profile"]["budget"]["target"] == 0.02
+        assert doc["profile"]["stride"] == 64
+        assert 0.0 < doc["profile"]["overhead"] < 1.0
 
     def test_repro_run_trace_profile_record(self, tmp_path, capsys):
         from repro.telemetry.export import read_jsonl
@@ -670,8 +598,6 @@ class TestCLI:
         from repro.workloads.cli import main
 
         with pytest.raises(SystemExit):
-            main(["x.json", "--profile-budget", "0.05"])
-        with pytest.raises(SystemExit):
             main(["x.json", "--profile-folded", "f.folded"])
 
     def test_repro_bench_profile_refuses_baseline(self):
@@ -695,7 +621,7 @@ class TestCLI:
         doc = json.load(open(tmp_path / "b.json"))
         prof = doc["results"][0]["profile"]
         assert prof["runtime"] == "wall"
-        assert prof["budget"]["target"] == 0.02
+        assert prof["overhead"] >= 0.0
 
     def test_dash_renders_profiler_and_slo_panels(self, tmp_path,
                                                   capsys):
